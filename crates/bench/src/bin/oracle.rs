@@ -25,9 +25,9 @@
 //!   changes results.
 //! * `--trace-out PATH` — write the run's Chrome trace-event JSON to
 //!   `PATH` (implies `--trace`; overrides `ATLAS_TRACE_OUT`).
-//! * `--profile` — record per-opcode dynamic execution counts and
-//!   inline-cache hit rates (overriding `ATLAS_VM_PROFILE`); the counts
-//!   come from a dedicated untimed pass and never change results.
+//! * `--profile` — record per-opcode dynamic execution counts
+//!   (overriding `ATLAS_VM_PROFILE`); the counts come from a dedicated
+//!   untimed pass and never change results.
 //! * `--profile-out PATH` — write the report's `profile` section to
 //!   `PATH` as its own JSON document (implies `--profile`).
 //! * `--expect-speedup X` — assert the performance and equivalence

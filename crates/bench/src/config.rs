@@ -24,7 +24,11 @@
 //! shared budgets above.
 //!
 //! Malformed values fall back to the default rather than aborting — a CI
-//! matrix that exports an empty string must not change behavior.  The
+//! matrix that exports an empty string must not change behavior — with
+//! one exception: an unrecognised `ATLAS_ENGINE` is an error, because a
+//! misspelled `tree-walk` would silently run the bytecode engine and turn
+//! every cross-engine comparison into a comparison of bytecode with
+//! itself.  The
 //! primitive parsers live in [`atlas_core::env`], shared with the serve
 //! daemon's knob table, and are re-exported here; this module only adds
 //! the knob *names* and their defaults.
@@ -71,20 +75,38 @@ pub fn fleet_seed() -> u64 {
         .unwrap_or(0x5EED)
 }
 
-/// Reads the oracle execution engine from `ATLAS_ENGINE` (`bytecode` /
-/// `tree-walk`; default bytecode).  Engine choice can never change
-/// results — the two engines are observationally identical (see
-/// `atlas_interp::vm`) — only throughput; the knob exists for the
-/// differential pipelines and for measuring one engine against the other.
-pub fn oracle_engine() -> atlas_core::OracleEngine {
-    std::env::var("ATLAS_ENGINE")
-        .ok()
-        .and_then(|s| atlas_core::OracleEngine::parse(&s))
-        .unwrap_or_default()
+/// The spellings [`parse_oracle_engine`] accepts, as listed in its error.
+const ENGINE_SPELLINGS: &str = "bytecode, vm, tree-walk, treewalk, tree";
+
+/// Parses an `ATLAS_ENGINE` value.  Empty selects the default engine;
+/// anything [`atlas_core::OracleEngine::parse`] does not recognise is an
+/// error naming the variable and the accepted spellings.
+pub fn parse_oracle_engine(raw: &str) -> Result<atlas_core::OracleEngine, String> {
+    if raw.is_empty() {
+        return Ok(atlas_core::OracleEngine::default());
+    }
+    atlas_core::OracleEngine::parse(raw).ok_or_else(|| {
+        format!("ATLAS_ENGINE={raw:?} is not an engine (accepted: {ENGINE_SPELLINGS})")
+    })
 }
 
-/// Whether `ATLAS_VM_PROFILE` asks the oracle legs for per-opcode (and
-/// fused-pair) dynamic execution counts (`1`/`true`/`yes`/`on`,
+/// Reads the oracle execution engine from `ATLAS_ENGINE` (`bytecode` /
+/// `tree-walk`; default bytecode when unset or empty).  Engine choice can
+/// never change results — the two engines are observationally identical
+/// (see `atlas_interp::vm`) — only throughput; the knob exists for the
+/// differential pipelines and for measuring one engine against the other.
+/// An unrecognised value exits the process with status 1 (see
+/// [`parse_oracle_engine`]).
+pub fn oracle_engine() -> atlas_core::OracleEngine {
+    let raw = std::env::var_os("ATLAS_ENGINE").unwrap_or_default();
+    parse_oracle_engine(&raw.to_string_lossy()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Whether `ATLAS_VM_PROFILE` asks the oracle legs for per-opcode
+/// dynamic execution counts (`1`/`true`/`yes`/`on`,
 /// case-insensitive).  Profiling never changes results — the counters
 /// ride a dedicated untimed pass outside the measured slices — it only
 /// adds a `profile` section to the `atlas-oracle/1` report.
@@ -162,5 +184,21 @@ mod tests {
         // helpers are exercised against explicitly absent variables.
         assert_eq!(env_parse::<usize>("ATLAS_DOES_NOT_EXIST"), None);
         assert!(env_path("ATLAS_DOES_NOT_EXIST").is_none());
+    }
+
+    #[test]
+    fn engine_spellings_parse_and_misspellings_are_rejected() {
+        use atlas_core::OracleEngine;
+        assert_eq!(parse_oracle_engine(""), Ok(OracleEngine::Bytecode));
+        for spelling in ENGINE_SPELLINGS.split(", ") {
+            assert!(parse_oracle_engine(spelling).is_ok(), "{spelling}");
+        }
+        assert_eq!(parse_oracle_engine("vm"), Ok(OracleEngine::Bytecode));
+        assert_eq!(parse_oracle_engine("tree-walk"), Ok(OracleEngine::TreeWalk));
+        for typo in ["Tree-Walk", "tree_walk", "bytcode", " tree-walk"] {
+            let err = parse_oracle_engine(typo).unwrap_err();
+            assert!(err.contains("ATLAS_ENGINE"), "{err}");
+            assert!(err.contains(ENGINE_SPELLINGS), "{err}");
+        }
     }
 }

@@ -10,20 +10,21 @@
 //!    out` shape that dominates phase one — keeping those whose witness
 //!    synthesizes;
 //! 2. lowers the program to bytecode once ([`CompiledProgram::compile`]),
-//!    timing the compilation and counting instructions (fused
-//!    superinstructions reported separately), and lowers every witness
-//!    prologue to a [`CompiledWitness`] once — the per-workload *setup*
-//!    cost, timed apart from execution;
+//!    timing the compilation and counting instructions, and lowers every
+//!    witness prologue to a [`CompiledWitness`] once — the per-workload
+//!    *setup* cost, timed apart from execution;
 //! 3. executes every witness for the configured number of rounds under
 //!    each engine — one [`Vm`] [`reset`](Vm::reset) plus
 //!    [`run_witness`](Vm::run_witness) per execution (the [`VmScratch`]
-//!    and its inline-cache table carried across slices), versus a fresh
-//!    [`Interpreter`] per execution as the tree-walker has always run —
-//!    and records wall-clock, verdicts, and interpreter step counts.  The
-//!    rounds are split into interleaved timed slices and each engine is
-//!    scored by its fastest slice, so scheduler steal on a shared host
-//!    cannot be misattributed to either engine.  Each engine's report
-//!    splits `setup_ns` (one-time witness lowering; zero for the
+//!    carried across slices), versus a fresh [`Interpreter`] per
+//!    execution as the tree-walker has always run — and records
+//!    wall-clock, verdicts, and interpreter step counts.  The rounds are
+//!    split into interleaved timed slices (VM, tree, VM, tree, ...) and
+//!    the speedup is the median of the per-slice VM/tree throughput
+//!    ratios: adjacent slices share the host's mode, so each ratio
+//!    cancels it, and the median discards the few pairs a mode switch
+//!    splits.  The ratios' quartiles travel with it.  Each engine's
+//!    report splits `setup_ns` (one-time witness lowering; zero for the
 //!    tree-walker, which re-marshals every round by design) from
 //!    `exec_ns` (the timed slices), so a lowering win can never be
 //!    mistaken for an execution win: the headline `execs_per_sec_best`
@@ -35,9 +36,8 @@
 //!    per engine, compile cost, speedup) plus a human summary.  Under
 //!    `ATLAS_VM_PROFILE` (or [`OracleBenchConfig::profile`]) a dedicated
 //!    untimed pass additionally records per-opcode dynamic execution
-//!    counts, inline-cache hit rates, and the static adjacent-pair
-//!    frequencies that justify the fused superinstruction selection —
-//!    reported under `profile`, never touching the timed slices.
+//!    counts — reported under `profile`, never touching the timed
+//!    slices.
 //!
 //! The `oracle` binary adds `--expect-speedup N`, which turns the
 //! performance contract (bytecode at least `N`x the tree-walker's
@@ -49,8 +49,7 @@ use crate::json::Json;
 use crate::storeleg::{SPEC_LIMIT, SPEC_MAX_LEN};
 use atlas_core::{AtlasConfig, Engine, OracleEngine};
 use atlas_interp::{
-    BuiltinRegistry, CompiledProgram, CompiledWitness, ExecLimits, Interpreter, OpKind, Vm,
-    VmScratch,
+    BuiltinRegistry, CompiledProgram, CompiledWitness, ExecLimits, Interpreter, Vm, VmScratch,
 };
 use atlas_ir::{LibraryInterface, ParamSlot};
 use atlas_obs::{ArgValue, Recorder};
@@ -146,11 +145,10 @@ impl EngineRun {
         per_sec(self.executions, self.wall)
     }
 
-    /// The fastest slice's throughput — the noise-robust figure.  A timed
-    /// slice can only ever be *slowed down* by the host (scheduler steal,
-    /// cache pollution from neighbors), never sped up, so on a shared
-    /// machine the best of several interleaved slices is the measurement
-    /// closest to the code's true cost.
+    /// The fastest slice's throughput.  A timed slice can only ever be
+    /// *slowed down* by the host (scheduler steal, cache pollution from
+    /// neighbors), never sped up, so the best slice is the engine's
+    /// closest-to-true absolute cost.
     fn best_execs_per_sec(&self) -> f64 {
         self.slice_rates
             .iter()
@@ -180,25 +178,24 @@ fn per_sec(count: usize, wall: Duration) -> f64 {
     }
 }
 
-/// Counts the fused superinstructions in the compiled program — the
-/// `Load+Branch`, `Call+RetFall`, and `Const+Store` pairs selected by the
-/// static frequency pass (see `atlas_interp::compile`).
-fn count_fused(compiled: &CompiledProgram) -> usize {
-    (0..compiled.num_methods() as u32)
-        .map(|i| {
-            compiled
-                .method(atlas_ir::MethodId::from_index(i))
-                .code()
-                .iter()
-                .filter(|instr| {
-                    matches!(
-                        instr.kind(),
-                        OpKind::LoadBranch | OpKind::CallRetFall | OpKind::ConstStore
-                    )
-                })
-                .count()
-        })
-        .sum()
+/// Number of interleaved timed slices per engine (fewer when there are
+/// fewer rounds than this).
+const SLICES: usize = 16;
+
+/// The `(q1, median, q3)` of `values`, by linear interpolation between
+/// closest ranks; `NaN`s for an empty input.
+fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        if sorted.is_empty() {
+            return f64::NAN;
+        }
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
 }
 
 /// Enumerates the workload: two-step candidates `(entry a → receiver a,
@@ -306,9 +303,8 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
 
     // Untimed warmup: one pass of the workload under each engine, so
     // first-run effects (allocator arenas, instruction cache, scratch
-    // high-water marks, inline-cache installs, CPU frequency ramp) are
-    // paid before either timer starts instead of being charged to
-    // whichever engine runs first.
+    // high-water marks, CPU frequency ramp) are paid before either timer
+    // starts instead of being charged to whichever engine runs first.
     {
         let mut vm = Vm::with_scratch(&compiled, &builtins, limits, scratch);
         for cw in &compiled_witnesses {
@@ -323,14 +319,13 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
     }
 
     // The rounds are split into interleaved slices (VM, tree, VM, tree,
-    // ...), each timed on its own, and every engine is additionally scored
-    // by its *fastest* slice.  On a shared single-CPU host a timed region
-    // can absorb arbitrary scheduler steal; one engine's bad luck would
-    // otherwise masquerade as a speedup (or slowdown) of the other.
-    // Interleaving spreads the luck and the best slice strips it.
+    // ...), each timed on its own.  A shared host switches between fast
+    // and slow modes; a VM slice and the tree slice right after it almost
+    // always run in the same mode, so their ratio cancels it, and the
+    // median ratio ignores the few pairs a switch lands in.
     let mut tree_run = EngineRun::default();
     let mut tree_verdicts = Vec::with_capacity(witnesses.len() * config.rounds);
-    let slices = config.rounds.clamp(1, 8);
+    let slices = config.rounds.clamp(1, SLICES);
     for slice in 0..slices {
         let slice_rounds = config.rounds / slices + usize::from(slice < config.rounds % slices);
 
@@ -399,11 +394,8 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
     drop(obs_lane);
 
     // Optional profiling pass (`ATLAS_VM_PROFILE`): per-opcode dynamic
-    // counts and inline-cache hit rates over one full workload pass, plus
-    // the static adjacent-pair frequencies (measured on the *unfused*
-    // lowering) that justify the superinstruction selection.  Runs after
-    // the timed slices so the counter branch never executes inside a
-    // measured region.
+    // counts over one full workload pass.  Runs after the timed slices so
+    // the counter branch never executes inside a measured region.
     let profile = if config.profile {
         let mut scratch = scratch;
         scratch.enable_profile();
@@ -418,19 +410,10 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
         for (kind, n) in prof.histogram() {
             ops = ops.set(kind.name(), n as usize);
         }
-        let pairs: Vec<Json> = CompiledProgram::compile_unfused(program)
-            .pair_frequencies()
-            .into_iter()
-            .take(8)
-            .map(|((a, b), n)| Json::obj().set("pair", format!("{a}+{b}")).set("count", n))
-            .collect();
         Some(
             Json::obj()
                 .set("ops", ops)
-                .set("dynamic_total", prof.total() as usize)
-                .set("ic_hits", prof.ic_hits() as usize)
-                .set("ic_misses", prof.ic_misses() as usize)
-                .set("static_pairs", pairs),
+                .set("dynamic_total", prof.total() as usize),
         )
     } else {
         drop(scratch);
@@ -439,13 +422,13 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
 
     let verdicts_identical = vm_verdicts == tree_verdicts;
     let steps_identical = vm_run.steps == tree_run.steps;
-    // Best slice against best slice: compare the engines at their least
-    // host-disturbed, not at their unluckiest.
-    let speedup = if tree_run.best_execs_per_sec() > 0.0 {
-        vm_run.best_execs_per_sec() / tree_run.best_execs_per_sec()
-    } else {
-        f64::INFINITY
-    };
+    let ratios: Vec<f64> = vm_run
+        .slice_rates
+        .iter()
+        .zip(&tree_run.slice_rates)
+        .map(|(vm, tree)| vm / tree)
+        .collect();
+    let (speedup_q1, speedup, speedup_q3) = quartiles(&ratios);
 
     // 4. Cross-engine inference identity: a full (small) run under each
     // engine must export byte-identical spec artifacts.
@@ -498,7 +481,6 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
             Json::obj()
                 .set("methods", compiled.num_methods())
                 .set("instructions", compiled.total_instructions())
-                .set("fused_instructions", count_fused(&compiled))
                 .set("compile_ms", compile_time.as_secs_f64() * 1e3),
         )
         .set(
@@ -508,6 +490,9 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
                 .set("tree_walk", tree_run.json()),
         )
         .set("speedup", speedup)
+        .set("speedup_q1", speedup_q1)
+        .set("speedup_q3", speedup_q3)
+        .set("slices", slices)
         .set("verdicts_identical", verdicts_identical)
         .set("steps_identical", steps_identical)
         .set("inference_identical", inference_identical)
@@ -526,10 +511,9 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
     );
     let _ = writeln!(
         summary,
-        "compile: {} methods -> {} instructions ({} fused) in {:.2?}",
+        "compile: {} methods -> {} instructions in {:.2?}",
         compiled.num_methods(),
         compiled.total_instructions(),
-        count_fused(&compiled),
         compile_time,
     );
     let _ = writeln!(
@@ -540,9 +524,14 @@ pub fn run_oracle_bench(config: &OracleBenchConfig) -> Result<OracleBenchReport,
     );
     let _ = writeln!(
         summary,
-        "bytecode: {:.0} execs/sec, tree-walk: {:.0} execs/sec ({speedup:.1}x best-slice)",
+        "bytecode: {:.0} execs/sec, tree-walk: {:.0} execs/sec (best slice each)",
         vm_run.best_execs_per_sec(),
         tree_run.best_execs_per_sec(),
+    );
+    let _ = writeln!(
+        summary,
+        "speedup: {speedup:.2}x median of {slices} slice ratios \
+         (q1 {speedup_q1:.2}x, q3 {speedup_q3:.2}x)",
     );
     let _ = writeln!(
         summary,
@@ -590,13 +579,14 @@ mod tests {
         assert_eq!(tree_setup, 0, "tree-walker setup is per-round by design");
         let compile = json.get("compile").expect("compile");
         assert!(compile.get("instructions").and_then(Json::as_int).unwrap() > 0);
+        // Three rounds make three slices; the speedup is their median
+        // ratio, bracketed by its quartiles.
+        assert_eq!(json.get("slices").and_then(Json::as_int), Some(3));
+        let stat = |key| json.get(key).and_then(Json::as_f64).unwrap();
+        let (q1, median, q3) = (stat("speedup_q1"), stat("speedup"), stat("speedup_q3"));
         assert!(
-            compile
-                .get("fused_instructions")
-                .and_then(Json::as_int)
-                .unwrap()
-                > 0,
-            "the library lowering must contain fused superinstructions"
+            q1 > 0.0 && q1 <= median && median <= q3,
+            "{q1} {median} {q3}"
         );
         assert!(
             json.get("profile").is_none(),
@@ -619,19 +609,18 @@ mod tests {
         // Every witness prologue issues calls and ends in a verdict.
         assert!(ops.get("WCall").and_then(Json::as_int).unwrap() > 0);
         assert!(ops.get("WVerdict").and_then(Json::as_int).unwrap() > 0);
-        // Witnesses raw-allocate their receivers, so most field reads find
-        // the field absent (nothing to install) — the hit *rate* is a
-        // workload property, but every access must be counted.
-        let hits = profile.get("ic_hits").and_then(Json::as_int).unwrap();
-        let misses = profile.get("ic_misses").and_then(Json::as_int).unwrap();
-        assert!(
-            hits + misses > 0,
-            "field accesses must flow through the inline caches"
-        );
-        match profile.get("static_pairs") {
-            Some(Json::Arr(pairs)) => assert!(!pairs.is_empty(), "pair frequencies present"),
-            other => panic!("static_pairs must be an array, got {other:?}"),
-        }
+        // Profiling takes the frame path, so the field reads of getter
+        // bodies are counted too.
+        assert!(ops.get("Load").and_then(Json::as_int).unwrap() > 0);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_ranks() {
+        assert_eq!(quartiles(&[3.0, 1.0, 2.0]), (1.5, 2.0, 2.5));
+        assert_eq!(quartiles(&[4.0]), (4.0, 4.0, 4.0));
+        assert_eq!(quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0]), (2.0, 3.0, 4.0));
+        let (q1, median, q3) = quartiles(&[]);
+        assert!(q1.is_nan() && median.is_nan() && q3.is_nan());
     }
 
     #[test]

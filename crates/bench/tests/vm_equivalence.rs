@@ -18,19 +18,18 @@
 //! * the same holds over randomly generated synthetic libraries, whose
 //!   aliasing patterns and body shapes are drawn independently of
 //!   javalib's;
-//! * handwritten programs force every fused superinstruction
-//!   (`Load+Branch`, `Call+RetFall`, `Const+Store`) and inline-cache
-//!   misses (one field site flapping between classes that share a field)
-//!   and sweep the step budget across every statement boundary, pinning
-//!   tick discipline inside the fused forms;
+//! * handwritten programs drive one field site with receivers of classes
+//!   whose field blocks are laid out differently, and every inline
+//!   fast-body shape, and sweep the step budget across every statement
+//!   boundary;
 //! * steady-state oracle rounds (reset + compiled witness) perform zero
 //!   arena growth after the first pass over the javalib workload.
 
 use atlas_apps::{generate_app, generate_library, SynthLibConfig};
 use atlas_bench::fleet::build_library;
 use atlas_interp::{
-    BuiltinRegistry, CompiledProgram, CompiledWitness, ExecError, ExecLimits, ExecOutcome, Instr,
-    Interpreter, OpKind, Vm, VmScratch,
+    BuiltinRegistry, CompiledProgram, CompiledWitness, ExecError, ExecLimits, ExecOutcome,
+    Interpreter, Vm, VmScratch,
 };
 use atlas_ir::builder::ProgramBuilder;
 use atlas_ir::{BinOp, LibraryInterface, MethodId, ParamSlot, Program, Type};
@@ -135,7 +134,7 @@ impl Fixture {
         let v = witness.execute_with(&self.program, &mut vm, &mut wscratch);
         let v_steps = vm.steps();
         // The compiled path reuses the first VM's scratch — exactly the
-        // oracle's lifecycle (lower once, reset per round, caches warm).
+        // oracle's lifecycle (lower once, reset per round).
         let cw = witness.compile_into(&mut wscratch);
         let mut vm = Vm::with_scratch(&self.compiled, &builtins, limits, vm.into_scratch());
         let w = vm.run_witness(cw);
@@ -220,8 +219,8 @@ proptest! {
         let witness = witness.unwrap();
         let limits = ExecLimits { max_steps, max_call_depth, max_heap_objects };
         // Which limit binds first, and at which statement, must agree
-        // across all three paths — including inside fused
-        // superinstructions and the compiled witness prologue.
+        // across all three paths — including inside inline fast bodies
+        // and the compiled witness prologue.
         let [(t, t_steps), (v, v_steps), (w, w_steps)] = fix.execute_all(&witness, limits);
         prop_assert_eq!(&t, &v);
         prop_assert_eq!(&t, &w);
@@ -256,86 +255,12 @@ proptest! {
     }
 }
 
-/// A program whose lowering contains every fused superinstruction:
-///
-/// * `Cell.get` loads `flag` straight into an `if` — `Load+Branch`;
-/// * `Cell.prime` ends with a `set` call and falls off — `Call+RetFall`;
-/// * `Cell.mark` materializes `true` and stores it — `Const+Store`.
-///
-/// `Main.test` drives all three and returns whether the stored object
-/// round-trips, so the whole surface executes on every run.
-fn fused_program() -> Program {
-    let mut pb = ProgramBuilder::new();
-    pb.class("Object").build();
-    let mut c = pb.class("Cell");
-    c.library(true);
-    c.field("flag", Type::Bool);
-    c.field("val", Type::object());
-    let mut set = c.method("set");
-    let this = set.this();
-    let v = set.param("v", Type::object());
-    set.store(this, "val", v);
-    set.finish();
-    let mut mark = c.method("mark");
-    let this = mark.this();
-    let t = mark.local("t", Type::Bool);
-    mark.const_bool(t, true);
-    mark.store(this, "flag", t);
-    mark.finish();
-    let mut prime = c.method("prime");
-    let this = prime.this();
-    let v = prime.param("v", Type::object());
-    let set_id = prime.mref("Cell", "set");
-    prime.call(None, set_id, Some(this), &[v]);
-    prime.finish();
-    let mut get = c.method("get");
-    get.returns(Type::object());
-    let this = get.this();
-    let f = get.local("f", Type::Bool);
-    let r = get.local("r", Type::object());
-    get.load(f, this, "flag");
-    get.if_stmt(
-        f,
-        |m| {
-            m.load(r, this, "val");
-            m.ret(Some(r));
-        },
-        |_| {},
-    );
-    let nil = get.local("nil", Type::object());
-    get.ret(Some(nil));
-    get.finish();
-    c.build();
-    let mut main = pb.class("Main");
-    let mut t = main.static_method("test");
-    t.returns(Type::Bool);
-    let cell = t.local("cell", Type::class("Cell"));
-    let obj = t.local("obj", Type::object());
-    let out = t.local("out", Type::object());
-    let eq = t.local("eq", Type::Bool);
-    let cellc = t.cref("Cell");
-    let objc = t.cref("Object");
-    t.new_object(cell, cellc);
-    t.new_object(obj, objc);
-    let mark = t.mref("Cell", "mark");
-    let prime = t.mref("Cell", "prime");
-    let get = t.mref("Cell", "get");
-    t.call(None, mark, Some(cell), &[]);
-    t.call(None, prime, Some(cell), &[obj]);
-    t.call(Some(out), get, Some(cell), &[]);
-    t.ref_eq(eq, obj, out);
-    t.ret(Some(eq));
-    t.finish();
-    main.build();
-    pb.build()
-}
-
-/// A program with one field site shared by two classes: `Holder` declares
-/// `f` with its accessors, `AHolder`/`BHolder` extend it, and `Main.test`
-/// interleaves receivers of both classes through the same `getf` load for
-/// enough iterations to exhaust the inline cache's install budget and pin
-/// the site megamorphic.
-fn flapping_program() -> Program {
+/// A program with one field site shared by two classes whose field blocks
+/// are laid out differently: `Holder` declares `f` with its accessors,
+/// `AHolder` adds `g` (written first, so `f` sits in the block's second
+/// slot) and `BHolder` adds nothing (`f` first).  `Main.test` interleaves
+/// receivers of both classes through the same `getf` load.
+fn interleaved_program() -> Program {
     let mut pb = ProgramBuilder::new();
     pb.class("Object").build();
     let mut base = pb.class("Holder");
@@ -356,6 +281,12 @@ fn flapping_program() -> Program {
     let holder = base.build();
     let mut a = pb.class("AHolder");
     a.library(true).extends(holder);
+    a.field("g", Type::object());
+    let mut setg = a.method("setg");
+    let this = setg.this();
+    let v = setg.param("v", Type::object());
+    setg.store(this, "g", v);
+    setg.finish();
     a.build();
     let mut b = pb.class("BHolder");
     b.library(true).extends(holder);
@@ -383,6 +314,8 @@ fn flapping_program() -> Program {
     t.new_object(o, objc);
     let setf = t.mref("Holder", "setf");
     let getf = t.mref("Holder", "getf");
+    let setg = t.mref("AHolder", "setg");
+    t.call(None, setg, Some(av), &[o]);
     t.call(None, setf, Some(av), &[o]);
     t.call(None, setf, Some(bv), &[o]);
     t.const_int(i, 0);
@@ -408,111 +341,15 @@ fn flapping_program() -> Program {
     pb.build()
 }
 
-/// Counts instructions of `kind` across the whole compiled program.
-fn count_kind(compiled: &CompiledProgram, kind: OpKind) -> usize {
-    (0..compiled.num_methods() as u32)
-        .map(|i| {
-            compiled
-                .method(MethodId::from_index(i))
-                .code()
-                .iter()
-                .filter(|instr: &&Instr| instr.kind() == kind)
-                .count()
-        })
-        .sum()
-}
-
-/// Runs `entry` on the VM with profiling enabled, returning the outcome
-/// and the accumulated profile's `(ic_hits, ic_misses)`.
-fn run_vm_profiled(
-    program: &Program,
-    entry: MethodId,
-    limits: ExecLimits,
-) -> (ExecOutcome, usize, (u64, u64)) {
-    let compiled = CompiledProgram::compile(program);
-    let builtins = BuiltinRegistry::with_defaults();
-    let mut scratch = VmScratch::default();
-    scratch.enable_profile();
-    let mut vm = Vm::with_scratch(&compiled, &builtins, limits, scratch);
-    let out = vm.run_entry(entry);
-    let steps = vm.steps();
-    let prof = vm.profile().expect("profile enabled");
-    (out, steps, (prof.ic_hits(), prof.ic_misses()))
-}
-
 #[test]
-fn fused_program_contains_every_superinstruction() {
-    let compiled = CompiledProgram::compile(&fused_program());
-    for kind in [OpKind::LoadBranch, OpKind::CallRetFall, OpKind::ConstStore] {
-        assert!(
-            count_kind(&compiled, kind) > 0,
-            "the lowering must contain a fused {}",
-            kind.name()
-        );
-    }
-    // The unfused lowering must contain none of them.
-    let unfused = CompiledProgram::compile_unfused(&fused_program());
-    for kind in [OpKind::LoadBranch, OpKind::CallRetFall, OpKind::ConstStore] {
-        assert_eq!(count_kind(&unfused, kind), 0, "{}", kind.name());
-    }
-}
-
-#[test]
-fn fused_superinstructions_match_tree_walker_at_every_budget() {
-    let p = fused_program();
+fn interleaved_receivers_with_different_field_layouts_match() {
+    let p = interleaved_program();
     let entry = p.method_qualified("Main.test").unwrap();
     let [(t_out, t_steps), (v_out, v_steps)] = run_both(&p, entry, ExecLimits::default());
     assert!(t_out.is_true(), "{t_out:?}");
     assert_eq!(t_out, v_out);
     assert_eq!(t_steps, v_steps);
-    // Sweep the step budget across every statement boundary: a fused pair
-    // must tick once per constituent, in the original order, so each
-    // budget value exhausts both engines at the same statement.
-    for max_steps in 1..=t_steps {
-        let limits = ExecLimits {
-            max_steps,
-            ..ExecLimits::default()
-        };
-        let [(t_out, t_steps), (v_out, v_steps)] = run_both(&p, entry, limits);
-        assert_eq!(t_out, v_out, "budget {max_steps}");
-        assert_eq!(t_steps, v_steps, "budget {max_steps}");
-    }
-    // And starved call depth: the fused Call+RetFall checks depth at the
-    // same point the unfused Call would.
-    for max_call_depth in 1..4 {
-        let limits = ExecLimits {
-            max_call_depth,
-            ..ExecLimits::default()
-        };
-        let [(t_out, t_steps), (v_out, v_steps)] = run_both(&p, entry, limits);
-        assert_eq!(t_out, v_out, "depth {max_call_depth}");
-        assert_eq!(t_steps, v_steps, "depth {max_call_depth}");
-    }
-}
-
-#[test]
-fn interleaved_receivers_flap_the_inline_cache_identically() {
-    let p = flapping_program();
-    let entry = p.method_qualified("Main.test").unwrap();
-    let [(t_out, t_steps), (v_out, v_steps)] = run_both(&p, entry, ExecLimits::default());
-    assert!(t_out.is_true(), "{t_out:?}");
-    assert_eq!(t_out, v_out);
-    assert_eq!(t_steps, v_steps);
-    // The interleaved receivers force a miss on every access of the
-    // shared load site until its install budget pins it megamorphic —
-    // verdicts and steps must be untouched either way.
-    let (out, steps, (hits, misses)) = run_vm_profiled(&p, entry, ExecLimits::default());
-    assert_eq!(out, t_out);
-    assert_eq!(steps, t_steps);
-    assert!(
-        misses > 8,
-        "class flapping must exhaust the install budget ({misses} misses)"
-    );
-    // The setf/getf pairs before the loop and the store sites stay
-    // monomorphic per class, so some accesses still hit.
-    let _ = hits;
-    // Budget sweep across the flapping loop: megamorphic fallback ticks
-    // exactly like the monomorphic fast path.
+    // Budget sweep across the interleaved loop.
     for max_steps in (1..=t_steps).step_by(7) {
         let limits = ExecLimits {
             max_steps,

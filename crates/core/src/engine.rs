@@ -668,8 +668,6 @@ pub(crate) fn run_cluster_job(
             for (kind, n) in profile.histogram() {
                 engine.recorder.count(&format!("vm.op.{}", kind.name()), n);
             }
-            engine.recorder.count("vm.ic_hits", profile.ic_hits());
-            engine.recorder.count("vm.ic_misses", profile.ic_misses());
         }
         let cache_stats = cache.stats();
         lane.count("engine.clusters", 1);

@@ -36,7 +36,7 @@ pub mod vm;
 pub use builtins::BuiltinRegistry;
 pub use compile::{CompiledMethod, CompiledProgram, CompiledWitness, Instr, OpKind};
 pub use eval::{ExecError, ExecOutcome, Executor, Interpreter};
-pub use heap::{FieldCache, Heap, ObjRef};
+pub use heap::{Heap, ObjRef};
 pub use limits::{ExecLimits, StepBudget};
 pub use value::Value;
 pub use vm::{Vm, VmProfile, VmScratch};

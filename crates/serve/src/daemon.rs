@@ -15,8 +15,8 @@
 //!   `BaseState` seed set.
 //! * **`open`** registers a new session: a fresh namespace under
 //!   `<store>/sessions/<name>/` seeded with the captured base shard
-//!   bytes, plus clones of the base program, provenance, warm cache and
-//!   specs document.  A session opened at any point therefore behaves
+//!   bytes, plus clones of the base program, provenance and specs
+//!   document.  A session opened at any point therefore behaves
 //!   byte-identically to the same session on a freshly-started daemon —
 //!   edits in other sessions (including the default one) can never leak
 //!   into it.
@@ -46,7 +46,7 @@ use crate::session::{
 use crate::shards::{HotShards, ROOT_NAMESPACE};
 use atlas_apps::RegistryError;
 use atlas_core::RunProvenance;
-use atlas_core::{AtlasConfig, BudgetSplit, Engine, StoreError, ThreadBudget, VerdictCache};
+use atlas_core::{AtlasConfig, BudgetSplit, Engine, StoreError, ThreadBudget};
 use atlas_ir::{ClassId, LibraryInterface, Program};
 use atlas_obs::{ArgValue, Recorder};
 use atlas_store::{atomic_write, hex64_string, shard_entry, Json};
@@ -104,7 +104,6 @@ impl From<StoreError> for ServeError {
 struct BaseState {
     program: Program,
     provenance: RunProvenance,
-    warm: VerdictCache,
     specs_doc: Json,
     fingerprint: u64,
     /// The raw shard *file bytes* captured after the startup flush, one
@@ -211,7 +210,6 @@ impl Daemon {
             .spec_artifact(&lib.program)
             .encode(&lib.program)
             .map_err(|e| StoreError::schema(&config.store, e))?;
-        let warm = session.into_cache();
         let fingerprint = outcome.library;
         drop(engine);
         hot.flush()?;
@@ -234,7 +232,6 @@ impl Daemon {
         let base = BaseState {
             program: lib.program.clone(),
             provenance: provenance.clone(),
-            warm: warm.warm_clone(),
             specs_doc: specs_doc.clone(),
             fingerprint,
             seeds,
@@ -245,7 +242,6 @@ impl Daemon {
             ordinal: 0,
             program: lib.program,
             provenance,
-            warm,
             specs_doc,
             fingerprint,
             generation: 0,
@@ -494,7 +490,6 @@ impl Daemon {
             ordinal,
             program: self.base.program.clone(),
             provenance: self.base.provenance.clone(),
-            warm: self.base.warm.warm_clone(),
             specs_doc: self.base.specs_doc.clone(),
             fingerprint: self.base.fingerprint,
             generation: 0,
@@ -614,7 +609,6 @@ impl Daemon {
             .set("edits_ok", session.stats.edits_ok as i64)
             .set("edits_failed", session.stats.edits_failed as i64)
             .set("queries", session.stats.queries as i64)
-            .set("warm_verdicts", session.warm.len())
             .set(
                 "sessions",
                 Json::obj()

@@ -21,11 +21,10 @@
 //!   write-behind flushing (atomic renames via `atlas-store`), and one
 //!   *namespace* per session sharing a single LRU budget.
 //! * `session` — the per-session state: program, provenance chain,
-//!   rolling warm verdict cache, current spec artifact, namespace.
+//!   current spec artifact, namespace.
 //! * [`daemon`] — [`Daemon`]: the internally-locked service core.  Each
 //!   edit runs `Engine::incremental_session` against its session's
-//!   previous provenance, warm-started from the session's verdict cache,
-//!   splicing clean clusters from the hot shards.  New sessions seed
+//!   previous provenance, splicing clean clusters from the hot shards.  New sessions seed
 //!   from the byte-captured post-startup store.
 //! * [`service`] — [`Service`]: the bounded session-aware queue
 //!   (backpressure), the worker pool (`outer` of the thread-budget

@@ -1,11 +1,11 @@
-//! Per-session daemon state: one library under edit, a rolling warm
-//! verdict cache, and the current spec artifact.
+//! Per-session daemon state: one library under edit and its current spec
+//! artifact.
 //!
 //! `atlas-serve/2` makes sessions first-class: every open session owns
 //! the full mutable state the /1 daemon kept globally — program,
-//! provenance chain, warm verdict cache, specs document, fingerprint,
-//! generation — plus a shard-store *namespace* of its own, so edits in
-//! one session can never alias another session's persisted clusters.
+//! provenance chain, specs document, fingerprint, generation — plus a
+//! shard-store *namespace* of its own, so edits in one session can never
+//! alias another session's persisted clusters.
 //! The daemon serializes requests per session (the service scheduler
 //! guarantees at most one in-flight request per session), so a
 //! [`SessionState`] is locked for the duration of exactly one request
@@ -15,7 +15,7 @@ use crate::config::ServeConfig;
 use crate::proto::{EditRequest, ErrorCode, WireError};
 use crate::shards::{HotShards, SharedShards};
 use atlas_apps::{mutate_library, MutationConfig};
-use atlas_core::{AtlasConfig, Engine, RunProvenance, StoreError, VerdictCache};
+use atlas_core::{AtlasConfig, Engine, RunProvenance, StoreError};
 use atlas_ir::ClassId;
 use atlas_ir::LibraryInterface;
 use atlas_ir::Program;
@@ -60,9 +60,6 @@ pub(crate) struct SessionState {
     /// The previous run's closure identity; the diff basis of the next
     /// edit.
     pub provenance: RunProvenance,
-    /// The rolling warm verdict cache: every verdict any edit in this
-    /// session has proven, fed to the next edit's engine.
-    pub warm: VerdictCache,
     /// The current `atlas-spec/1` artifact document.
     pub specs_doc: Json,
     /// The current library fingerprint.
@@ -120,8 +117,11 @@ impl SessionState {
         // exported trace.
         let lane_base =
             self.ordinal * SESSION_ORDINAL_STRIDE + (self.generation + 2) * SESSION_LANE_STRIDE;
+        // No warm verdict cache: every mutation only grows content, so a
+        // dirty cluster's closure fingerprint — part of every verdict key —
+        // never recurs within a session, and verdicts proven by earlier
+        // edits could never hit.
         let engine = Engine::new(&new_program, &new_interface, atlas_config)
-            .warm_start(self.warm.warm_clone())
             .with_recorder(recorder.with_lane_base(lane_base));
         let mut session = engine.incremental_session(&self.provenance);
         // The oracle work happens between `ShardStore` calls, so the hot
@@ -142,12 +142,10 @@ impl SessionState {
                 self.stats.edits_failed += 1;
                 WireError::new(ErrorCode::Store, e.to_string())
             })?;
-        let collected = session.into_cache();
         drop(engine);
 
         self.program = new_program;
         self.provenance = new_provenance;
-        self.warm = collected;
         self.specs_doc = specs_doc;
         self.fingerprint = outcome.library;
         self.generation += 1;
@@ -194,5 +192,86 @@ impl SessionState {
             .flush_namespace(self.ns)?;
         self.edits_since_flush = 0;
         Ok(written)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use atlas_apps::{build_library, mutate_library, MutationConfig};
+    use atlas_core::{AtlasConfig, Engine, RunProvenance};
+    use atlas_ir::mutate::MutationKind;
+    use atlas_ir::{ClassId, LibraryInterface, Program};
+    use std::collections::HashSet;
+
+    fn provenance(program: &Program, clusters: &[Vec<ClassId>]) -> RunProvenance {
+        let interface = LibraryInterface::from_program(program);
+        let config = AtlasConfig {
+            clusters: clusters.to_vec(),
+            ..AtlasConfig::default()
+        };
+        Engine::new(program, &interface, config).run_provenance()
+    }
+
+    /// Why a session keeps no warm verdict cache: verdict keys include the
+    /// closure fingerprint, and an edit chain never brings one back.
+    /// Every kind is applied three times to one target — twice with the
+    /// same seed, the closest an edit stream gets to reverting itself —
+    /// and every cluster an edit dirties must land on a fingerprint no
+    /// earlier state of the chain had.
+    #[test]
+    fn edit_chains_never_revisit_a_closure_fingerprint() {
+        let lib = build_library("javalib", 0x5EED).expect("javalib is registered");
+        let mut program = lib.program;
+        let mut previous = provenance(&program, &lib.clusters);
+        let mut seen: HashSet<u64> = previous.clusters.iter().map(|c| c.closure).collect();
+        let mut dirtied = 0;
+        for kind in [
+            MutationKind::RenameLocal,
+            MutationKind::BodyEdit,
+            MutationKind::AddMethod,
+            MutationKind::SignatureChange,
+        ] {
+            // A repeated add-method seed is a name collision, so that kind
+            // varies its seed; the others repeat theirs.
+            let seeds = if kind == MutationKind::AddMethod {
+                [1, 2, 3]
+            } else {
+                [1, 1, 2]
+            };
+            let mut target = None;
+            for seed in seeds {
+                let mutated = mutate_library(
+                    &program,
+                    &MutationConfig {
+                        kind,
+                        seed,
+                        target: target.clone(),
+                    },
+                )
+                .unwrap_or_else(|e| panic!("{kind} seed {seed}: {e}"));
+                let outcome = &mutated.outcome;
+                program = mutated.program;
+                target.get_or_insert_with(|| match kind {
+                    MutationKind::AddMethod => program.class(outcome.class).name().to_string(),
+                    _ => program.qualified_name(outcome.method),
+                });
+                let next = provenance(&program, &lib.clusters);
+                for cluster in &next.clusters {
+                    if previous.knows_closure(cluster.closure) {
+                        continue;
+                    }
+                    dirtied += 1;
+                    assert!(
+                        seen.insert(cluster.closure),
+                        "{}: cluster {} revisited closure {:#x}",
+                        outcome.description,
+                        cluster.index,
+                        cluster.closure
+                    );
+                }
+                previous = next;
+            }
+        }
+        assert!(dirtied >= 12, "every edit must dirty a cluster ({dirtied})");
     }
 }
