@@ -5,7 +5,7 @@
 use atlas_ir::{LibraryInterface, MethodId, ParamSlot, Program, SlotKind};
 use atlas_learn::{Oracle, OracleConfig};
 use atlas_pointsto::{ExtractionOptions, Graph, Solver};
-use atlas_spec::{CodeFragments, Fsa, PathSpec};
+use atlas_spec::{CodeFragments, Fsa, PathSpec, StateId};
 use atlas_synth::{synthesize_witness, InitStrategy, InstantiationPlanner};
 use proptest::prelude::*;
 
@@ -20,17 +20,29 @@ fn valid_word(
     interface: &LibraryInterface,
     max_steps: usize,
 ) -> impl Strategy<Value = Vec<ParamSlot>> {
+    valid_word_over(interface, max_steps, usize::MAX)
+}
+
+/// [`valid_word`] restricted to the first `alphabet` methods of each kind,
+/// so that independently drawn words share prefixes and symbols.
+fn valid_word_over(
+    interface: &LibraryInterface,
+    max_steps: usize,
+    alphabet: usize,
+) -> impl Strategy<Value = Vec<ParamSlot>> {
     let methods_with_return: Vec<MethodId> = interface
         .methods()
         .iter()
         .filter(|sig| !sig.is_constructor && sig.returns_reference() && sig.has_this)
         .map(|sig| sig.method)
+        .take(alphabet)
         .collect();
     let methods_any: Vec<MethodId> = interface
         .methods()
         .iter()
         .filter(|sig| !sig.is_constructor && sig.has_this)
         .map(|sig| sig.method)
+        .take(alphabet)
         .collect();
     let steps = 1..=max_steps;
     (
@@ -58,6 +70,91 @@ fn valid_word(
             }
             word
         })
+}
+
+/// Reference copy of the original bounded enumerator: a breadth-first
+/// search over `BTreeSet` state-set frontiers that carries every word in
+/// full.  [`Fsa::enumerate_words`] must return exactly its output.
+fn reference_enumerate_words(fsa: &Fsa, max_len: usize, limit: usize) -> Vec<Vec<ParamSlot>> {
+    use std::collections::{BTreeSet, VecDeque};
+    let mut out = Vec::new();
+    let mut queue: VecDeque<(BTreeSet<StateId>, Vec<ParamSlot>)> = VecDeque::new();
+    queue.push_back((BTreeSet::from([fsa.init()]), Vec::new()));
+    while let Some((states, word)) = queue.pop_front() {
+        if out.len() >= limit {
+            break;
+        }
+        if !word.is_empty() && states.iter().any(|&q| fsa.is_accepting(q)) {
+            out.push(word.clone());
+        }
+        if word.len() >= max_len {
+            continue;
+        }
+        let mut symbols: BTreeSet<ParamSlot> = BTreeSet::new();
+        for &q in &states {
+            symbols.extend(fsa.transitions_from(q).into_iter().map(|(sym, _)| sym));
+        }
+        for sym in symbols {
+            let next: BTreeSet<StateId> = states
+                .iter()
+                .flat_map(|&q| fsa.transitions_from(q))
+                .filter(|&(s, _)| s == sym)
+                .map(|(_, to)| to)
+                .collect();
+            if !next.is_empty() {
+                let mut w = word.clone();
+                w.push(sym);
+                queue.push_back((next, w));
+            }
+        }
+    }
+    out
+}
+
+/// Reference copy of the original `words_added_by`: enumerate `4 * limit`
+/// accepted words, drop those `other` accepts, keep the first `limit`.
+fn reference_words_added_by(
+    fsa: &Fsa,
+    other: &Fsa,
+    max_len: usize,
+    limit: usize,
+) -> Vec<Vec<ParamSlot>> {
+    reference_enumerate_words(fsa, max_len, limit * 4)
+        .into_iter()
+        .filter(|w| !other.accepts(w))
+        .take(limit)
+        .collect()
+}
+
+/// `(max_len, limit)` pairs the enumerators are compared on: RPNI's own
+/// `(8, 64)`, limits small enough to cut the search mid-level, lengths
+/// shorter than the words, and the degenerate zero bounds.
+const ENUMERATION_BOUNDS: [(usize, usize); 9] = [
+    (8, 64),
+    (8, 16),
+    (8, 1),
+    (6, 5),
+    (4, 3),
+    (2, 100),
+    (7, 2),
+    (0, 10),
+    (8, 0),
+];
+
+/// Breadth-first depth parity of every state of a prefix tree.
+fn depth_parities(fsa: &Fsa) -> Vec<u8> {
+    let mut parity = vec![u8::MAX; fsa.num_states()];
+    let mut queue = std::collections::VecDeque::from([fsa.init()]);
+    parity[fsa.init().0 as usize] = 0;
+    while let Some(q) = queue.pop_front() {
+        for (_, to) in fsa.transitions_from(q) {
+            if parity[to.0 as usize] == u8::MAX {
+                parity[to.0 as usize] = 1 - parity[q.0 as usize];
+                queue.push_back(to);
+            }
+        }
+    }
+    parity
 }
 
 proptest! {
@@ -126,6 +223,60 @@ proptest! {
         let merged = fsa.merge(q, p);
         for w in &words {
             prop_assert!(merged.accepts(w), "merge lost an original word");
+        }
+    }
+
+    /// The enumerators return exactly what the reference BFS returns — the
+    /// same words in the same order under the same caps — on prefix trees
+    /// taken through random same-parity merge chains (the automata RPNI
+    /// builds: loops, and states with several successors on one symbol).
+    #[test]
+    fn enumerators_match_the_reference_bfs(
+        words in proptest::collection::vec(valid_word_over(&LibraryInterface::from_program(&library()), 3, 3), 1..9),
+        merges in proptest::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 1..10)
+    ) {
+        let mut fsa = Fsa::prefix_tree(&words);
+        let parity = depth_parities(&fsa);
+        for &(max_len, limit) in &ENUMERATION_BOUNDS {
+            prop_assert_eq!(fsa.enumerate_words(max_len, limit), reference_enumerate_words(&fsa, max_len, limit));
+        }
+        for (q_pick, p_pick) in merges {
+            let live: Vec<StateId> = fsa.reachable().into_iter().filter(|&s| s != fsa.init()).collect();
+            if live.is_empty() {
+                break;
+            }
+            let q = live[q_pick.index(live.len())];
+            let partners: Vec<StateId> = fsa
+                .reachable()
+                .into_iter()
+                .filter(|&p| p != q && parity[p.0 as usize] == parity[q.0 as usize])
+                .collect();
+            if partners.is_empty() {
+                continue;
+            }
+            let p = partners[p_pick.index(partners.len())];
+            let merged = fsa.merge(q, p);
+            for &(max_len, limit) in &ENUMERATION_BOUNDS {
+                prop_assert_eq!(
+                    merged.enumerate_words(max_len, limit),
+                    reference_enumerate_words(&merged, max_len, limit)
+                );
+                prop_assert_eq!(
+                    merged.words_added_by(&fsa, max_len, limit),
+                    reference_words_added_by(&merged, &fsa, max_len, limit)
+                );
+                // The reverse direction and the empty automaton exercise
+                // an `other` that is not the pre-merge automaton.
+                prop_assert_eq!(
+                    fsa.words_added_by(&merged, max_len, limit),
+                    reference_words_added_by(&fsa, &merged, max_len, limit)
+                );
+                prop_assert_eq!(
+                    merged.words_added_by(&Fsa::empty(), max_len, limit),
+                    reference_words_added_by(&merged, &Fsa::empty(), max_len, limit)
+                );
+            }
+            fsa = merged;
         }
     }
 
