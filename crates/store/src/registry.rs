@@ -491,14 +491,22 @@ mod tests {
         let scratch = Scratch::new("history");
         let root = scratch.path("delta");
         // Three closure generations written in order, plus the current one.
+        // Each cache file's mtime is set explicitly, one second after the
+        // previous one, so the generation order never depends on how far
+        // apart the writes landed on the clock.
+        let epoch = std::time::SystemTime::now() - std::time::Duration::from_secs(60);
         for (i, fp) in [0x10u64, 0x20, 0x30, 0x40].into_iter().enumerate() {
+            let cache = shard_entry(&root, fp).cache;
             save_cache(
-                &shard_entry(&root, fp).cache,
+                &cache,
                 &sample_artifact(fp, vec![(i as u64, i as u64, true)]),
             )
             .unwrap();
-            // mtime separation (nanosecond clocks can still collide).
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            fs::File::options()
+                .write(true)
+                .open(&cache)
+                .and_then(|f| f.set_modified(epoch + std::time::Duration::from_secs(i as u64)))
+                .unwrap();
         }
         // Keep the current closure explicitly and one history generation:
         // the most recent non-kept shard (0x30) survives, older ones go.
