@@ -8,7 +8,8 @@
 
 use crate::path_spec::PathSpec;
 use atlas_ir::ParamSlot;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::ops::Range;
 
 /// Id of an automaton state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -137,36 +138,11 @@ impl Fsa {
         out
     }
 
-    /// Number of transitions.
-    pub fn num_transitions(&self) -> usize {
-        self.transitions
-            .iter()
-            .map(|m| m.values().map(|s| s.len()).sum::<usize>())
-            .sum()
-    }
-
-    /// The successor states of `state` on `sym`.
-    pub fn successors(&self, state: StateId, sym: ParamSlot) -> BTreeSet<StateId> {
-        self.transitions[state.0 as usize]
-            .get(&sym)
-            .cloned()
-            .unwrap_or_default()
-    }
-
     /// Outgoing transitions of a state.
     pub fn transitions_from(&self, state: StateId) -> Vec<(ParamSlot, StateId)> {
         self.transitions[state.0 as usize]
             .iter()
             .flat_map(|(&sym, targets)| targets.iter().map(move |&t| (sym, t)))
-            .collect()
-    }
-
-    /// Incoming transitions of a state.
-    pub fn transitions_into(&self, state: StateId) -> Vec<(StateId, ParamSlot)> {
-        self.transitions()
-            .into_iter()
-            .filter(|&(_, _, to)| to == state)
-            .map(|(from, sym, _)| (from, sym))
             .collect()
     }
 
@@ -224,57 +200,22 @@ impl Fsa {
         out
     }
 
-    /// Enumerates accepted words of length at most `max_len`, stopping after
-    /// `limit` words.  Enumeration order is breadth-first, so shorter words
-    /// come first.
+    /// Enumerates accepted non-empty words of length at most `max_len`,
+    /// stopping after `limit` words.  Enumeration order is breadth-first
+    /// (by length, then by symbol order), so shorter words come first.
     pub fn enumerate_words(&self, max_len: usize, limit: usize) -> Vec<Vec<ParamSlot>> {
-        let mut out = Vec::new();
-        // Frontier of (state-set, word) pairs.
-        let mut queue: VecDeque<(BTreeSet<StateId>, Vec<ParamSlot>)> = VecDeque::new();
-        let mut init_set = BTreeSet::new();
-        init_set.insert(self.init);
-        queue.push_back((init_set, Vec::new()));
-        while let Some((states, word)) = queue.pop_front() {
-            if out.len() >= limit {
-                break;
-            }
-            if !word.is_empty() && states.iter().any(|q| self.accepting.contains(q)) {
-                out.push(word.clone());
-            }
-            if word.len() >= max_len {
-                continue;
-            }
-            // Collect the union of outgoing symbols.
-            let mut symbols: BTreeSet<ParamSlot> = BTreeSet::new();
-            for &q in &states {
-                symbols.extend(self.transitions[q.0 as usize].keys().copied());
-            }
-            for sym in symbols {
-                let mut next = BTreeSet::new();
-                for &q in &states {
-                    if let Some(t) = self.transitions[q.0 as usize].get(&sym) {
-                        next.extend(t.iter().copied());
-                    }
-                }
-                if !next.is_empty() {
-                    let mut w = word.clone();
-                    w.push(sym);
-                    queue.push_back((next, w));
-                }
-            }
-        }
-        out
+        self.enumerate_against(&Fsa::empty(), max_len, limit, limit)
     }
 
     /// The words (up to `max_len`, at most `limit`) accepted by `self` but
     /// not by `other` — the set `M_diff` queried against the oracle when
     /// deciding whether to accept a merge.
+    ///
+    /// The bound is on enumeration as well as on output: of the first
+    /// `4 * limit` words [`Fsa::enumerate_words`] would return, the first
+    /// `limit` that `other` rejects, in the same order.
     pub fn words_added_by(&self, other: &Fsa, max_len: usize, limit: usize) -> Vec<Vec<ParamSlot>> {
-        self.enumerate_words(max_len, limit * 4)
-            .into_iter()
-            .filter(|w| !other.accepts(w))
-            .take(limit)
-            .collect()
+        self.enumerate_against(other, max_len, limit.saturating_mul(4), limit)
     }
 
     /// Enumerates the *valid path specifications* accepted by the automaton
@@ -287,12 +228,233 @@ impl Fsa {
             .collect()
     }
 
-    /// The set of methods that appear in any transition symbol.
-    pub fn mentioned_methods(&self) -> BTreeSet<atlas_ir::MethodId> {
-        self.transitions()
-            .into_iter()
-            .map(|(_, sym, _)| sym.method)
-            .collect()
+    /// The one bounded enumerator: walks the non-empty words `self`
+    /// accepts, up to `max_len` symbols, breadth-first, stops after `cap`
+    /// of them, and returns the first `limit` that `other` rejects.
+    ///
+    /// The search runs over the product of the two subset constructions:
+    /// a node is a state set of `self` and the state set of `other` reached
+    /// on the same word, each interned to an id whose successor list is
+    /// computed once.  Words live in an arena of parent pointers and are
+    /// spelled out only when returned.  A node none of whose `self` states
+    /// can reach acceptance within the remaining length is never queued:
+    /// no word through it is accepted, so dropping it changes neither
+    /// which words are counted against `cap` nor their order.
+    fn enumerate_against(
+        &self,
+        other: &Fsa,
+        max_len: usize,
+        cap: usize,
+        limit: usize,
+    ) -> Vec<Vec<ParamSlot>> {
+        struct Node {
+            mine: u32,
+            theirs: u32,
+            /// Arena index of the word (0 is the empty word).
+            word: u32,
+            len: usize,
+        }
+        let mut mine = SubsetTable::new(self, max_len);
+        let mut theirs = SubsetTable::new(other, 0);
+        // arena[i - 1] = (parent, last symbol) of word i.
+        let mut arena: Vec<(u32, ParamSlot)> = Vec::new();
+        let mut queue = VecDeque::from([Node {
+            mine: mine.intern(vec![self.init]),
+            theirs: theirs.intern(vec![other.init]),
+            word: 0,
+            len: 0,
+        }]);
+        let mut out = Vec::new();
+        let mut accepted = 0;
+        while let Some(node) = queue.pop_front() {
+            if accepted >= cap || out.len() >= limit {
+                break;
+            }
+            if node.len > 0 && mine.is_accepting(node.mine) {
+                accepted += 1;
+                if !theirs.is_accepting(node.theirs) {
+                    out.push(spell(&arena, node.word, node.len));
+                }
+            }
+            if node.len >= max_len {
+                continue;
+            }
+            let remaining = max_len - node.len - 1;
+            for edge in mine.successors(node.mine) {
+                let (sym, next) = mine.edges[edge];
+                if mine.distance(next) > remaining {
+                    continue;
+                }
+                let theirs_next = theirs.step(node.theirs, sym);
+                arena.push((node.word, sym));
+                queue.push_back(Node {
+                    mine: next,
+                    theirs: theirs_next,
+                    word: arena.len() as u32,
+                    len: node.len + 1,
+                });
+            }
+        }
+        out
+    }
+
+    /// Each state's distance in symbols to an accepting state: 0 for an
+    /// accepting state, `u32::MAX` when none is within `horizon` symbols.
+    fn distances_to_accepting(&self, horizon: usize) -> Vec<u32> {
+        let n = self.transitions.len();
+        let mut dist = vec![u32::MAX; n];
+        let mut frontier: Vec<u32> = self.accepting.iter().map(|q| q.0).collect();
+        for &q in &frontier {
+            dist[q as usize] = 0;
+        }
+        if horizon == 0 || frontier.is_empty() {
+            return dist;
+        }
+        // Predecessor lists in compressed form: preds[start[q]..start[q + 1]].
+        let mut start = vec![0usize; n + 1];
+        for targets in self.transitions.iter().flat_map(|m| m.values()) {
+            for t in targets {
+                start[t.0 as usize + 1] += 1;
+            }
+        }
+        for q in 0..n {
+            start[q + 1] += start[q];
+        }
+        let mut fill = start.clone();
+        let mut preds = vec![0u32; start[n]];
+        for (from, map) in self.transitions.iter().enumerate() {
+            for t in map.values().flatten() {
+                preds[fill[t.0 as usize]] = from as u32;
+                fill[t.0 as usize] += 1;
+            }
+        }
+        let mut d = 0;
+        while !frontier.is_empty() && d < horizon {
+            d += 1;
+            let mut next = Vec::new();
+            for q in frontier {
+                for &p in &preds[start[q as usize]..start[q as usize + 1]] {
+                    if dist[p as usize] == u32::MAX {
+                        dist[p as usize] = d as u32;
+                        next.push(p);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        dist
+    }
+}
+
+/// Spells out word `word` of the parent-pointer arena (`len` symbols).
+fn spell(arena: &[(u32, ParamSlot)], mut word: u32, len: usize) -> Vec<ParamSlot> {
+    let mut out = Vec::with_capacity(len);
+    while word != 0 {
+        let (parent, sym) = arena[word as usize - 1];
+        out.push(sym);
+        word = parent;
+    }
+    out.reverse();
+    out
+}
+
+/// The state sets of one automaton met during an enumeration (the subset
+/// construction, built on demand).  Each set is interned to a dense id with
+/// its distance to acceptance and, once asked for, its successor list.
+struct SubsetTable<'a> {
+    fsa: &'a Fsa,
+    /// Per-state distance to acceptance, up to the table's horizon.
+    state_distance: Vec<u32>,
+    ids: HashMap<Box<[StateId]>, u32>,
+    /// Per set: its states.
+    members: Vec<Box<[StateId]>>,
+    /// Per set: the least distance to acceptance of its states.
+    distance: Vec<u32>,
+    /// Per set: its successor list, `edges[range]`, sorted by symbol.
+    successors: Vec<Option<Range<usize>>>,
+    /// Successor lists: (symbol, id of the set reached on it).
+    edges: Vec<(ParamSlot, u32)>,
+}
+
+impl<'a> SubsetTable<'a> {
+    /// An empty table over `fsa` that knows distances to acceptance up to
+    /// `horizon` symbols (0: only whether a set accepts).
+    fn new(fsa: &'a Fsa, horizon: usize) -> SubsetTable<'a> {
+        SubsetTable {
+            fsa,
+            state_distance: fsa.distances_to_accepting(horizon),
+            ids: HashMap::new(),
+            members: Vec::new(),
+            distance: Vec::new(),
+            successors: Vec::new(),
+            edges: Vec::new(),
+        }
+    }
+
+    /// The id of a sorted, duplicate-free state set.
+    fn intern(&mut self, states: Vec<StateId>) -> u32 {
+        let states = states.into_boxed_slice();
+        if let Some(&id) = self.ids.get(&states) {
+            return id;
+        }
+        let id = self.members.len() as u32;
+        let distance = states
+            .iter()
+            .map(|q| self.state_distance[q.0 as usize])
+            .min()
+            .unwrap_or(u32::MAX);
+        self.ids.insert(states.clone(), id);
+        self.members.push(states);
+        self.distance.push(distance);
+        self.successors.push(None);
+        id
+    }
+
+    /// The least number of symbols after which some word from the set is
+    /// accepted (`usize::MAX` beyond the horizon).
+    fn distance(&self, set: u32) -> usize {
+        match self.distance[set as usize] {
+            u32::MAX => usize::MAX,
+            d => d as usize,
+        }
+    }
+
+    fn is_accepting(&self, set: u32) -> bool {
+        self.distance[set as usize] == 0
+    }
+
+    /// The range of `edges` holding the set's successors, computing them on
+    /// first use.
+    fn successors(&mut self, set: u32) -> Range<usize> {
+        if let Some(range) = &self.successors[set as usize] {
+            return range.clone();
+        }
+        let fsa = self.fsa;
+        let mut pairs: Vec<(ParamSlot, StateId)> = self.members[set as usize]
+            .iter()
+            .flat_map(|q| &fsa.transitions[q.0 as usize])
+            .flat_map(|(&sym, targets)| targets.iter().map(move |&t| (sym, t)))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut list = Vec::new();
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let next = self.intern(group.iter().map(|&(_, t)| t).collect());
+            list.push((group[0].0, next));
+        }
+        let range = self.edges.len()..self.edges.len() + list.len();
+        self.edges.extend(list);
+        self.successors[set as usize] = Some(range.clone());
+        range
+    }
+
+    /// The set reached from `set` on `sym` (possibly the empty set).
+    fn step(&mut self, set: u32, sym: ParamSlot) -> u32 {
+        let range = self.successors(set);
+        match self.edges[range.clone()].binary_search_by_key(&sym, |&(s, _)| s) {
+            Ok(i) => self.edges[range.start + i].1,
+            Err(_) => self.intern(Vec::new()),
+        }
     }
 }
 
@@ -379,7 +541,6 @@ mod tests {
         let specs = fsa.accepted_specs(10, 10);
         assert_eq!(specs.len(), 1);
         assert_eq!(specs[0].symbols(), good.as_slice());
-        assert_eq!(fsa.mentioned_methods().len(), 2);
     }
 
     #[test]
@@ -394,11 +555,9 @@ mod tests {
         fsa.set_accepting(a, false);
         assert!(!fsa.accepts(&[slot(0, 1)]));
         fsa.set_accepting(a, true);
-        assert_eq!(fsa.num_transitions(), 1);
+        assert_eq!(fsa.transitions(), vec![(fsa.init(), slot(0, 1), a)]);
         assert_eq!(fsa.transitions_from(fsa.init()).len(), 1);
-        assert_eq!(fsa.transitions_into(a).len(), 1);
-        assert_eq!(fsa.successors(fsa.init(), slot(0, 1)).len(), 1);
-        assert!(fsa.successors(a, slot(0, 1)).is_empty());
+        assert!(fsa.transitions_from(a).is_empty());
         assert_eq!(Fsa::default(), Fsa::empty());
     }
 
