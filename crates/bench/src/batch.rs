@@ -28,7 +28,7 @@
 //! The `batch` binary prints the JSON to stdout (and the summary to
 //! stderr): `cargo run --release -p atlas-bench --bin batch > report.json`.
 
-use crate::config::{app_count, env_parse, sample_budget, store_dir, thread_budget, trace_enabled};
+use crate::config::{app_count, env_knob, sample_budget, store_dir, thread_budget, trace_enabled};
 use crate::context::{EvalContext, SpecSet};
 use crate::json::Json;
 use atlas_apps::{generate_suite, AppConfig};
@@ -102,13 +102,13 @@ impl BatchConfig {
     /// `ATLAS_BATCH_SIZE_FACTOR` for the suite shape.
     pub fn from_env() -> BatchConfig {
         let mut config = BatchConfig::default();
-        if let Some(seed) = env_parse("ATLAS_BATCH_SEED") {
+        if let Some(seed) = env_knob("ATLAS_BATCH_SEED") {
             config.app_config.seed = seed;
         }
-        if let Some(max) = env_parse("ATLAS_BATCH_MAX_PATTERNS") {
+        if let Some(max) = env_knob("ATLAS_BATCH_MAX_PATTERNS") {
             config.app_config.max_patterns = max;
         }
-        if let Some(factor) = env_parse("ATLAS_BATCH_SIZE_FACTOR") {
+        if let Some(factor) = env_knob("ATLAS_BATCH_SIZE_FACTOR") {
             config.app_config.size_factor = factor;
         }
         config.store = store_dir();

@@ -23,23 +23,40 @@
 //! bound) in `atlas_serve::config`; the serve leg combines those with the
 //! shared budgets above.
 //!
-//! Malformed values fall back to the default rather than aborting — a CI
-//! matrix that exports an empty string must not change behavior — with
-//! one exception: an unrecognised `ATLAS_ENGINE` is an error, because a
-//! misspelled `tree-walk` would silently run the bytecode engine and turn
-//! every cross-engine comparison into a comparison of bytecode with
-//! itself.  The
-//! primitive parsers live in [`atlas_core::env`], shared with the serve
-//! daemon's knob table, and are re-exported here; this module only adds
-//! the knob *names* and their defaults.
+//! An unset or empty knob takes its default — a CI matrix that exports
+//! an empty string must not change behavior.  A set value that does not
+//! parse exits the process with status 1, naming the variable and the
+//! value: `ATLAS_THREADS=abc` silently running on automatic threads, or
+//! a misspelled `ATLAS_ENGINE=tree-walk` silently running the bytecode
+//! engine (which would turn every cross-engine comparison into a
+//! comparison of bytecode with itself), measures something nobody asked
+//! for.  The primitive parsers live in [`atlas_core::env`], shared with
+//! the serve daemon's knob table; this module only adds the knob *names*
+//! and their defaults.
 
-use atlas_core::env::{env_flag, parse_u64};
-pub use atlas_core::env::{env_parse, env_path};
+pub use atlas_core::env::env_path;
+use atlas_core::env::{env_flag, env_parse, env_parse_with, parse_u64};
 use std::path::PathBuf;
+
+/// The value of a parse, or — for a malformed knob — exit status 1 with
+/// the error on standard error.
+pub(crate) fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Reads a numeric knob: `None` when unset or empty.  A value that does
+/// not parse exits the process with status 1 (see the [module
+/// docs](self)).
+pub fn env_knob<T: std::str::FromStr>(var: &str) -> Option<T> {
+    or_exit(env_parse(var))
+}
 
 /// Reads the per-cluster sampling budget from `ATLAS_SAMPLES` (default 4000).
 pub fn sample_budget() -> usize {
-    env_parse("ATLAS_SAMPLES").unwrap_or(4_000)
+    env_knob("ATLAS_SAMPLES").unwrap_or(4_000)
 }
 
 /// Reads the global worker-thread budget from `ATLAS_THREADS` (default 0 =
@@ -47,12 +64,12 @@ pub fn sample_budget() -> usize {
 /// wall-clock; in fleet runs it bounds the *total* worker count across the
 /// outer scheduler and every engine (see `atlas_core::ThreadBudget`).
 pub fn thread_budget() -> usize {
-    env_parse("ATLAS_THREADS").unwrap_or(0)
+    env_knob("ATLAS_THREADS").unwrap_or(0)
 }
 
 /// Reads the app count from `ATLAS_APPS` (default 46).
 pub fn app_count() -> usize {
-    env_parse("ATLAS_APPS").unwrap_or(46)
+    env_knob("ATLAS_APPS").unwrap_or(46)
 }
 
 /// Reads the batch pipeline's flat store directory from `ATLAS_STORE`.
@@ -69,10 +86,7 @@ pub fn fleet_store_root() -> Option<PathBuf> {
 /// decimal or `0x`-prefixed hex, matching how the default (`0x5EED`) and
 /// the fingerprints in reports are written.
 pub fn fleet_seed() -> u64 {
-    std::env::var("ATLAS_FLEET_SEED")
-        .ok()
-        .and_then(|s| parse_u64(&s))
-        .unwrap_or(0x5EED)
+    or_exit(env_parse_with("ATLAS_FLEET_SEED", parse_u64)).unwrap_or(0x5EED)
 }
 
 /// The spellings [`parse_oracle_engine`] accepts, as listed in its error.
@@ -99,10 +113,7 @@ pub fn parse_oracle_engine(raw: &str) -> Result<atlas_core::OracleEngine, String
 /// [`parse_oracle_engine`]).
 pub fn oracle_engine() -> atlas_core::OracleEngine {
     let raw = std::env::var_os("ATLAS_ENGINE").unwrap_or_default();
-    parse_oracle_engine(&raw.to_string_lossy()).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    })
+    or_exit(parse_oracle_engine(&raw.to_string_lossy()))
 }
 
 /// Whether `ATLAS_VM_PROFILE` asks the oracle legs for per-opcode
@@ -182,7 +193,7 @@ mod tests {
     fn defaults_are_historical() {
         // The suite must not depend on ambient ATLAS_* values; these
         // helpers are exercised against explicitly absent variables.
-        assert_eq!(env_parse::<usize>("ATLAS_DOES_NOT_EXIST"), None);
+        assert_eq!(env_knob::<usize>("ATLAS_DOES_NOT_EXIST"), None);
         assert!(env_path("ATLAS_DOES_NOT_EXIST").is_none());
     }
 

@@ -43,7 +43,7 @@
 //! performance contract (bytecode at least `N`x the tree-walker's
 //! executions/sec) and the equivalence contract into an exit code for CI.
 
-use crate::config::{env_parse, sample_budget, trace_enabled, vm_profile_enabled};
+use crate::config::{env_knob, sample_budget, trace_enabled, vm_profile_enabled};
 use crate::fleet::{build_library, FleetError};
 use crate::json::Json;
 use crate::storeleg::{SPEC_LIMIT, SPEC_MAX_LEN};
@@ -88,8 +88,8 @@ impl OracleBenchConfig {
     pub fn from_env() -> OracleBenchConfig {
         OracleBenchConfig {
             library: "javalib".to_string(),
-            words: env_parse("ATLAS_ORACLE_WORDS").unwrap_or(64),
-            rounds: env_parse("ATLAS_ORACLE_ROUNDS").unwrap_or(200),
+            words: env_knob("ATLAS_ORACLE_WORDS").unwrap_or(64),
+            rounds: env_knob("ATLAS_ORACLE_ROUNDS").unwrap_or(200),
             identity_samples: sample_budget().min(1_000),
             trace: trace_enabled(),
             profile: vm_profile_enabled(),

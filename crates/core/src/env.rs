@@ -4,16 +4,50 @@
 //! environment — the bench harness (`atlas_bench::config`), the resident
 //! service (`atlas_serve::config`) — goes through these helpers, so a
 //! knob means the same thing and fails the same way everywhere.  The one
-//! error style: a malformed or empty value falls back to the caller's
-//! default instead of aborting, because a CI matrix that exports an empty
-//! string must not change behavior.
+//! error style: an unset or empty value means the caller's default,
+//! because a CI matrix that exports an empty string must not change
+//! behavior; a set value that does not parse is an error naming the
+//! variable and the value, because `ATLAS_THREADS=abc` silently running
+//! on the default would measure something nobody asked for.
 
+use std::env::VarError;
 use std::path::PathBuf;
 
-/// Parses an environment variable, falling back to `None` when unset,
-/// empty, or unparsable.
-pub fn env_parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-    std::env::var(var).ok().and_then(|s| s.parse().ok())
+/// Parses an environment variable: `Ok(None)` when unset or empty, an
+/// error naming the variable and the value when it does not parse.
+pub fn env_parse<T: std::str::FromStr>(var: &str) -> Result<Option<T>, String> {
+    env_parse_with(var, |s| s.parse().ok())
+}
+
+/// [`env_parse`] with a custom parser (e.g. [`parse_u64`]).
+pub fn env_parse_with<T>(
+    var: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match std::env::var(var) {
+        Err(VarError::NotPresent) => Ok(None),
+        Err(VarError::NotUnicode(raw)) => Err(format!("{var}={raw:?} is not valid UTF-8")),
+        Ok(raw) => parse_knob(var, &raw, parse),
+    }
+}
+
+/// Parses one knob value read from `var`: `Ok(None)` for the empty
+/// string, an error naming the variable and the value when `parse`
+/// rejects it.
+pub fn parse_knob<T>(
+    var: &str,
+    raw: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    if raw.is_empty() {
+        return Ok(None);
+    }
+    parse(raw).map(Some).ok_or_else(|| {
+        format!(
+            "{var}={raw:?} is not a valid {}",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
 /// A non-empty environment variable, verbatim.
@@ -55,10 +89,29 @@ mod tests {
 
     #[test]
     fn absent_variables_fall_back() {
-        assert_eq!(env_parse::<usize>("ATLAS_NO_SUCH_KNOB"), None);
+        assert_eq!(env_parse::<usize>("ATLAS_NO_SUCH_KNOB"), Ok(None));
         assert_eq!(env_string("ATLAS_NO_SUCH_KNOB"), None);
         assert!(env_path("ATLAS_NO_SUCH_KNOB").is_none());
         assert!(!env_flag("ATLAS_NO_SUCH_KNOB"));
+    }
+
+    #[test]
+    fn numeric_knobs_parse_and_garbage_is_rejected() {
+        let parse = |raw: &str| parse_knob("ATLAS_THREADS", raw, |s| s.parse::<usize>().ok());
+        assert_eq!(parse(""), Ok(None));
+        assert_eq!(parse("0"), Ok(Some(0)));
+        assert_eq!(parse("12"), Ok(Some(12)));
+        for garbage in ["abc", "-1", " 4", "4 ", "1.5", "0x10"] {
+            let err = parse(garbage).unwrap_err();
+            assert!(err.contains("ATLAS_THREADS"), "{err}");
+            assert!(err.contains(&format!("{garbage:?}")), "{err}");
+        }
+        // A custom parser rejects loudly the same way.
+        let seed = |raw: &str| parse_knob("ATLAS_FLEET_SEED", raw, parse_u64);
+        assert_eq!(seed("0x5EED"), Ok(Some(0x5EED)));
+        assert!(seed("seed")
+            .unwrap_err()
+            .contains("ATLAS_FLEET_SEED=\"seed\""));
     }
 
     #[test]

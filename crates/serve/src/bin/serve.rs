@@ -42,7 +42,10 @@ fn usage(message: &str) -> ! {
 }
 
 fn main() {
-    let mut config = ServeConfig::from_env();
+    let mut config = ServeConfig::from_env().unwrap_or_else(|e| {
+        eprintln!("serve: {e}");
+        std::process::exit(1);
+    });
     let mut socket: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -19,7 +19,9 @@
 //! the same shell see the same budgets — a requirement for the
 //! batch-equivalence invariant to be testable from the command line.
 //! Parsing goes through [`atlas_core::env`] — the same helpers, and the
-//! same fallback-on-malformed error style, as the bench harness.
+//! same error style, as the bench harness: an unset or empty knob takes
+//! its default, and a set value that does not parse is an error naming
+//! the variable and the value.
 
 use atlas_core::env::{env_flag, env_parse, env_path, env_string};
 use std::path::PathBuf;
@@ -167,23 +169,24 @@ impl ServeConfig {
     }
 
     /// Reads the configuration from the environment (see the
-    /// [module docs](self) for the knob table).
-    pub fn from_env() -> ServeConfig {
+    /// [module docs](self) for the knob table).  A numeric knob set to
+    /// something that does not parse is an error naming it.
+    pub fn from_env() -> Result<ServeConfig, String> {
         let defaults = ServeConfig::default();
-        ServeConfig {
+        Ok(ServeConfig {
             library: env_string("ATLAS_SERVE_LIBRARY").unwrap_or(defaults.library),
-            samples: env_parse("ATLAS_SAMPLES").unwrap_or(defaults.samples),
-            threads: env_parse("ATLAS_THREADS").unwrap_or(defaults.threads),
-            workers: env_parse("ATLAS_SERVE_WORKERS").unwrap_or(defaults.workers),
+            samples: env_parse("ATLAS_SAMPLES")?.unwrap_or(defaults.samples),
+            threads: env_parse("ATLAS_THREADS")?.unwrap_or(defaults.threads),
+            workers: env_parse("ATLAS_SERVE_WORKERS")?.unwrap_or(defaults.workers),
             store: env_path("ATLAS_SERVE_STORE").unwrap_or(defaults.store),
-            shard_budget: env_parse("ATLAS_SERVE_SHARDS").unwrap_or(defaults.shard_budget),
-            queue_capacity: env_parse("ATLAS_SERVE_QUEUE").unwrap_or(defaults.queue_capacity),
-            flush_every: env_parse("ATLAS_SERVE_FLUSH").unwrap_or(defaults.flush_every),
-            max_frame: env_parse("ATLAS_SERVE_MAX_FRAME").unwrap_or(defaults.max_frame),
-            max_sessions: env_parse("ATLAS_SERVE_MAX_SESSIONS").unwrap_or(defaults.max_sessions),
+            shard_budget: env_parse("ATLAS_SERVE_SHARDS")?.unwrap_or(defaults.shard_budget),
+            queue_capacity: env_parse("ATLAS_SERVE_QUEUE")?.unwrap_or(defaults.queue_capacity),
+            flush_every: env_parse("ATLAS_SERVE_FLUSH")?.unwrap_or(defaults.flush_every),
+            max_frame: env_parse("ATLAS_SERVE_MAX_FRAME")?.unwrap_or(defaults.max_frame),
+            max_sessions: env_parse("ATLAS_SERVE_MAX_SESSIONS")?.unwrap_or(defaults.max_sessions),
             synth_seed: defaults.synth_seed,
             trace: env_flag("ATLAS_TRACE"),
-        }
+        })
     }
 
     /// A small configuration suitable for tests: a tiny library, a modest
