@@ -370,8 +370,9 @@ struct SubsetTable<'a> {
     members: Vec<Box<[StateId]>>,
     /// Per set: the least distance to acceptance of its states.
     distance: Vec<u32>,
-    /// Per set: its successor list, `edges[range]`, sorted by symbol.
-    successors: Vec<Option<Range<usize>>>,
+    /// Per set, once expanded: the range of `edges` holding its
+    /// successor list, sorted by symbol.
+    successor_edges: Vec<Option<Range<usize>>>,
     /// Successor lists: (symbol, id of the set reached on it).
     edges: Vec<(ParamSlot, u32)>,
 }
@@ -386,7 +387,7 @@ impl<'a> SubsetTable<'a> {
             ids: HashMap::new(),
             members: Vec::new(),
             distance: Vec::new(),
-            successors: Vec::new(),
+            successor_edges: Vec::new(),
             edges: Vec::new(),
         }
     }
@@ -406,7 +407,7 @@ impl<'a> SubsetTable<'a> {
         self.ids.insert(states.clone(), id);
         self.members.push(states);
         self.distance.push(distance);
-        self.successors.push(None);
+        self.successor_edges.push(None);
         id
     }
 
@@ -426,7 +427,7 @@ impl<'a> SubsetTable<'a> {
     /// The range of `edges` holding the set's successors, computing them on
     /// first use.
     fn successors(&mut self, set: u32) -> Range<usize> {
-        if let Some(range) = &self.successors[set as usize] {
+        if let Some(range) = &self.successor_edges[set as usize] {
             return range.clone();
         }
         let fsa = self.fsa;
@@ -444,7 +445,7 @@ impl<'a> SubsetTable<'a> {
         }
         let range = self.edges.len()..self.edges.len() + list.len();
         self.edges.extend(list);
-        self.successors[set as usize] = Some(range.clone());
+        self.successor_edges[set as usize] = Some(range.clone());
         range
     }
 
