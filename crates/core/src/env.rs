@@ -34,7 +34,7 @@ pub fn env_parse_with<T>(
 /// Parses one knob value read from `var`: `Ok(None)` for the empty
 /// string, an error naming the variable and the value when `parse`
 /// rejects it.
-pub fn parse_knob<T>(
+fn parse_knob<T>(
     var: &str,
     raw: &str,
     parse: impl FnOnce(&str) -> Option<T>,
