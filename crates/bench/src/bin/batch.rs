@@ -3,18 +3,15 @@
 //!
 //! ```sh
 //! cargo run --release -p atlas-bench --bin batch > report.json
-//! # or, to also keep a copy on disk:
-//! ATLAS_BATCH_OUT=target/batch.json cargo run --release -p atlas-bench --bin batch
 //! # cross-process warm start via the persistent store:
 //! ATLAS_STORE=target/atlas-store cargo run --release -p atlas-bench --bin batch
 //! ATLAS_STORE=target/atlas-store cargo run --release -p atlas-bench --bin batch -- --expect-warm
 //! ```
 //!
-//! The human summary goes to stderr, the JSON document to stdout (and to
-//! `ATLAS_BATCH_OUT` when set).  Budgets come from the usual knobs
-//! (`ATLAS_SAMPLES`, `ATLAS_APPS`, `ATLAS_THREADS`) plus the suite-shape
-//! knobs `ATLAS_BATCH_SEED`, `ATLAS_BATCH_MAX_PATTERNS`, and
-//! `ATLAS_BATCH_SIZE_FACTOR`.
+//! The human summary goes to stderr, the JSON document to stdout.  Budgets
+//! come from the usual knobs (`ATLAS_SAMPLES`, `ATLAS_APPS`,
+//! `ATLAS_THREADS`) plus the suite-shape knobs `ATLAS_BATCH_SEED`,
+//! `ATLAS_BATCH_MAX_PATTERNS`, and `ATLAS_BATCH_SIZE_FACTOR`.
 //!
 //! Flags:
 //!
@@ -33,48 +30,30 @@
 //!   of that fails, so CI smoke steps can rely on it.
 
 use atlas_bench::Json;
+use atlas_core::env::Cli;
 use std::path::PathBuf;
 
-fn usage(message: &str) -> ! {
-    eprintln!(
-        "batch: {message}\nusage: batch [--threads N] [--store PATH] [--trace] \
-         [--trace-out PATH] [--expect-warm]"
-    );
-    std::process::exit(1);
-}
+const USAGE: &str =
+    "batch [--threads N] [--store PATH] [--trace] [--trace-out PATH] [--expect-warm]";
 
 fn main() {
     let mut config = atlas_bench::BatchConfig::from_env();
     let mut expect_warm = false;
     let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                config.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
-            "--store" => {
-                config.store = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| usage("--store needs a path")),
-                ));
-            }
-            "--trace" => config.trace = true,
-            "--trace-out" => {
-                config.trace = true;
-                trace_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--trace-out needs a path")),
-                ));
-            }
-            "--expect-warm" => expect_warm = true,
-            other => usage(&format!("unknown argument '{other}'")),
+    let mut cli = Cli::new("batch", USAGE);
+    cli.parse(|flag, cli| match flag {
+        "--threads" => config.threads = cli.value(),
+        "--store" => config.store = Some(cli.path()),
+        "--trace" => config.trace = true,
+        "--trace-out" => {
+            config.trace = true;
+            trace_out = Some(cli.path());
         }
-    }
+        "--expect-warm" => expect_warm = true,
+        _ => cli.unknown(),
+    });
     if expect_warm && config.store.is_none() {
-        usage("--expect-warm needs a store (--store or ATLAS_STORE)");
+        cli.fail("--expect-warm needs a store (--store or ATLAS_STORE)");
     }
     eprintln!(
         "batch: {} samples/cluster, {} apps, threads={}{}",
@@ -96,7 +75,7 @@ fn main() {
         }
     };
     eprint!("{}", report.summary);
-    atlas_bench::emit_report("batch", &report.json.render(), "ATLAS_BATCH_OUT");
+    print!("{}", report.json.render());
     atlas_bench::export_trace(&report.recorder, trace_out);
     if expect_warm {
         verify_warm_start(&report.json);
@@ -141,12 +120,10 @@ fn verify_warm_start(report: &Json) {
             "first leg re-executed unit tests despite {cache_file}: {n:?}"
         )),
     }
-    if failures.is_empty() {
-        eprintln!("batch: cross-process warm start verified (identical specs, 0 re-executions)");
-    } else {
-        for failure in &failures {
-            eprintln!("batch: --expect-warm failed: {failure}");
-        }
-        std::process::exit(1);
-    }
+    atlas_bench::enforce_contract(
+        "batch",
+        "--expect-warm",
+        &failures,
+        "cross-process warm start verified (identical specs, 0 re-executions)",
+    );
 }

@@ -9,10 +9,10 @@
 //! ```
 //!
 //! The human summary goes to stderr, the `atlas-fleet/1` JSON document to
-//! stdout (and to `ATLAS_FLEET_OUT` when set).  Budgets come from the
-//! usual knobs (`ATLAS_SAMPLES`, `ATLAS_THREADS`) plus `ATLAS_FLEET_STORE`
-//! (sharded store root), `ATLAS_FLEET_SEED` (synthetic-library seed), and
-//! `ATLAS_FLEET_LIBS` (comma-separated member names).
+//! stdout.  Budgets come from the usual knobs (`ATLAS_SAMPLES`,
+//! `ATLAS_THREADS`) plus `ATLAS_FLEET_STORE` (sharded store root),
+//! `ATLAS_FLEET_SEED` (synthetic-library seed), and `ATLAS_FLEET_LIBS`
+//! (comma-separated member names).
 //!
 //! Flags:
 //!
@@ -35,76 +35,44 @@
 //!   shard with zero re-executions and a byte-identical spec export; exits
 //!   `1` otherwise.
 
+use atlas_bench::config::parse_library_list;
 use atlas_bench::fleet::{self, FleetConfig};
 use atlas_bench::Json;
+use atlas_core::env::Cli;
 use std::path::PathBuf;
 
-fn usage(message: &str) -> ! {
-    eprintln!(
-        "fleet: {message}\nusage: fleet [--list] [--libraries A,B,...] [--threads N] \
-         [--samples N] [--store ROOT] [--normalized-out PATH] [--trace] [--trace-out PATH] \
-         [--expect-warm]"
-    );
-    std::process::exit(1);
-}
+const USAGE: &str = "fleet [--list] [--libraries A,B,...] [--threads N] [--samples N] \
+                     [--store ROOT] [--normalized-out PATH] [--trace] [--trace-out PATH] \
+                     [--expect-warm]";
 
 fn main() {
     let mut config = FleetConfig::from_env();
     let mut expect_warm = false;
     let mut normalized_out: Option<PathBuf> = None;
     let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--list" => {
-                for name in fleet::registry_names() {
-                    println!("{name}");
-                }
-                return;
+    let mut cli = Cli::new("fleet", USAGE);
+    cli.parse(|flag, cli| match flag {
+        "--list" => {
+            for name in fleet::registry_names() {
+                println!("{name}");
             }
-            "--libraries" => {
-                let list = args
-                    .next()
-                    .unwrap_or_else(|| usage("--libraries needs a comma-separated list"));
-                config.libraries = atlas_bench::config::parse_library_list(&list);
-            }
-            "--threads" => {
-                config.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
-            "--samples" => {
-                config.samples = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
-            }
-            "--store" => {
-                config.store_root = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| usage("--store needs a path")),
-                ));
-            }
-            "--normalized-out" => {
-                normalized_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--normalized-out needs a path")),
-                ));
-            }
-            "--trace" => config.trace = true,
-            "--trace-out" => {
-                config.trace = true;
-                trace_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--trace-out needs a path")),
-                ));
-            }
-            "--expect-warm" => expect_warm = true,
-            other => usage(&format!("unknown argument '{other}'")),
+            std::process::exit(0);
         }
-    }
+        "--libraries" => config.libraries = parse_library_list(&cli.string()),
+        "--threads" => config.threads = cli.value(),
+        "--samples" => config.samples = cli.value(),
+        "--store" => config.store_root = Some(cli.path()),
+        "--normalized-out" => normalized_out = Some(cli.path()),
+        "--trace" => config.trace = true,
+        "--trace-out" => {
+            config.trace = true;
+            trace_out = Some(cli.path());
+        }
+        "--expect-warm" => expect_warm = true,
+        _ => cli.unknown(),
+    });
     if expect_warm && config.store_root.is_none() {
-        usage("--expect-warm needs a store (--store or ATLAS_FLEET_STORE)");
+        cli.fail("--expect-warm needs a store (--store or ATLAS_FLEET_STORE)");
     }
     eprintln!(
         "fleet: {} [{}], {} samples/cluster, threads={}{}",
@@ -125,7 +93,7 @@ fn main() {
         }
     };
     eprint!("{}", report.summary);
-    atlas_bench::emit_report("fleet", &report.json.render(), "ATLAS_FLEET_OUT");
+    print!("{}", report.json.render());
     atlas_bench::export_trace(&report.recorder, trace_out);
     if let Some(path) = &normalized_out {
         let norm = fleet::normalized(&report.json).render();
@@ -185,16 +153,9 @@ fn verify_warm_start(report: &Json) {
             )),
         }
     }
-    if failures.is_empty() {
-        eprintln!(
-            "fleet: cross-process warm start verified for {} shard(s) \
-             (identical specs, 0 re-executions)",
-            libraries.len()
-        );
-    } else {
-        for failure in &failures {
-            eprintln!("fleet: --expect-warm failed: {failure}");
-        }
-        std::process::exit(1);
-    }
+    let verified = format!(
+        "cross-process warm start verified for {} shard(s) (identical specs, 0 re-executions)",
+        libraries.len()
+    );
+    atlas_bench::enforce_contract("fleet", "--expect-warm", &failures, &verified);
 }

@@ -9,10 +9,9 @@
 //!     --mutation body-edit --target TreeMap.put --expect-incremental
 //! ```
 //!
-//! The human summary goes to stderr, the JSON document to stdout (and to
-//! `ATLAS_INCR_OUT` when set).  Budgets come from the usual knobs
-//! (`ATLAS_SAMPLES`, `ATLAS_THREADS`) plus `ATLAS_INCR_STORE` for the
-//! store root.
+//! The human summary goes to stderr, the JSON document to stdout.  Budgets
+//! come from the usual knobs (`ATLAS_SAMPLES`, `ATLAS_THREADS`) plus
+//! `ATLAS_INCR_STORE` for the store root.
 //!
 //! Flags:
 //!
@@ -34,25 +33,21 @@
 //!   fewer re-executions than the cold baseline.  Exits `1` otherwise.
 
 use atlas_bench::{IncrConfig, Json};
+use atlas_core::env::Cli;
 use atlas_ir::MutationKind;
 use std::path::PathBuf;
 
-fn usage(message: &str) -> ! {
-    eprintln!(
-        "incremental: {message}\nusage: incremental [--library NAME] [--samples N] [--threads N] \
-         [--store ROOT] [--mutation KIND] [--target NAME] [--seed N] [--trace] \
-         [--trace-out PATH] [--expect-incremental]"
-    );
-    std::process::exit(1);
-}
+const USAGE: &str = "incremental [--library NAME] [--samples N] [--threads N] [--store ROOT] \
+                     [--mutation KIND] [--target NAME] [--seed N] [--trace] [--trace-out PATH] \
+                     [--expect-incremental]";
 
-fn parse_kind(raw: &str) -> MutationKind {
+fn parse_kind(raw: &str) -> Option<MutationKind> {
     match raw {
-        "rename-local" => MutationKind::RenameLocal,
-        "body-edit" => MutationKind::BodyEdit,
-        "add-method" => MutationKind::AddMethod,
-        "signature-change" => MutationKind::SignatureChange,
-        other => usage(&format!("unknown mutation kind '{other}'")),
+        "rename-local" => Some(MutationKind::RenameLocal),
+        "body-edit" => Some(MutationKind::BodyEdit),
+        "add-method" => Some(MutationKind::AddMethod),
+        "signature-change" => Some(MutationKind::SignatureChange),
+        _ => None,
     }
 }
 
@@ -60,61 +55,27 @@ fn main() {
     let mut config = IncrConfig::from_env();
     let mut expect_incremental = false;
     let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--library" => {
-                config.library = args
-                    .next()
-                    .unwrap_or_else(|| usage("--library needs a name"));
-            }
-            "--samples" => {
-                config.samples = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
-            }
-            "--threads" => {
-                config.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
-            "--store" => {
-                config.store =
-                    PathBuf::from(args.next().unwrap_or_else(|| usage("--store needs a path")));
-            }
-            "--mutation" => {
-                config.mutation = parse_kind(
-                    &args
-                        .next()
-                        .unwrap_or_else(|| usage("--mutation needs a kind")),
-                );
-            }
-            "--target" => {
-                config.target = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--target needs a name")),
-                );
-            }
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--trace" => config.trace = true,
-            "--trace-out" => {
-                config.trace = true;
-                trace_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--trace-out needs a path")),
-                ));
-            }
-            "--expect-incremental" => expect_incremental = true,
-            other => usage(&format!("unknown argument '{other}'")),
+    let mut cli = Cli::new("incremental", USAGE);
+    cli.parse(|flag, cli| match flag {
+        "--library" => config.library = cli.string(),
+        "--samples" => config.samples = cli.value(),
+        "--threads" => config.threads = cli.value(),
+        "--store" => config.store = cli.path(),
+        "--mutation" => {
+            let raw = cli.string();
+            config.mutation = parse_kind(&raw)
+                .unwrap_or_else(|| cli.fail(&format!("unknown mutation kind '{raw}'")));
         }
-    }
+        "--target" => config.target = Some(cli.string()),
+        "--seed" => config.seed = cli.value(),
+        "--trace" => config.trace = true,
+        "--trace-out" => {
+            config.trace = true;
+            trace_out = Some(cli.path());
+        }
+        "--expect-incremental" => expect_incremental = true,
+        _ => cli.unknown(),
+    });
     eprintln!(
         "incremental: {} ({} samples/cluster, threads={}, mutation={}, store={})",
         config.library,
@@ -131,7 +92,7 @@ fn main() {
         }
     };
     eprint!("{}", report.summary);
-    atlas_bench::emit_report("incremental", &report.json.render(), "ATLAS_INCR_OUT");
+    print!("{}", report.json.render());
     atlas_bench::export_trace(&report.recorder, trace_out);
     if expect_incremental {
         verify_incremental(&report.json, &config);
@@ -183,15 +144,9 @@ fn verify_incremental(report: &Json, config: &IncrConfig) {
             "incremental re-executed as much as cold ({incr} vs {cold})"
         ));
     }
-    if failures.is_empty() {
-        eprintln!(
-            "incremental: contract verified ({dirty}/{total} clusters dirty, \
-             {incr} vs {cold} executions, byte-identical splice from {store})"
-        );
-    } else {
-        for failure in &failures {
-            eprintln!("incremental: --expect-incremental failed: {failure}");
-        }
-        std::process::exit(1);
-    }
+    let verified = format!(
+        "contract verified ({dirty}/{total} clusters dirty, \
+         {incr} vs {cold} executions, byte-identical splice from {store})"
+    );
+    atlas_bench::enforce_contract("incremental", "--expect-incremental", &failures, &verified);
 }

@@ -9,9 +9,9 @@
 //! cargo run --release -p atlas-bench --bin oracle -- --expect-speedup 4
 //! ```
 //!
-//! The human summary goes to stderr, the JSON document to stdout (and to
-//! `ATLAS_ORACLE_OUT` when set).  `ATLAS_ORACLE_WORDS` and
-//! `ATLAS_ORACLE_ROUNDS` size the workload from the environment.
+//! The human summary goes to stderr, the JSON document to stdout.
+//! `ATLAS_ORACLE_WORDS` and `ATLAS_ORACLE_ROUNDS` size the workload from
+//! the environment.
 //!
 //! Flags:
 //!
@@ -36,74 +36,35 @@
 //!   tree-walker's.  Exits `1` otherwise.
 
 use atlas_bench::{Json, OracleBenchConfig};
+use atlas_core::env::Cli;
 use std::path::PathBuf;
 
-fn usage(message: &str) -> ! {
-    eprintln!(
-        "oracle: {message}\nusage: oracle [--library NAME] [--words N] [--rounds N] \
-         [--samples N] [--trace] [--trace-out PATH] [--profile] [--profile-out PATH] \
-         [--expect-speedup X]"
-    );
-    std::process::exit(1);
-}
+const USAGE: &str = "oracle [--library NAME] [--words N] [--rounds N] [--samples N] [--trace] \
+                     [--trace-out PATH] [--profile] [--profile-out PATH] [--expect-speedup X]";
 
 fn main() {
     let mut config = OracleBenchConfig::from_env();
     let mut expect_speedup: Option<f64> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut profile_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--library" => {
-                config.library = args
-                    .next()
-                    .unwrap_or_else(|| usage("--library needs a name"));
-            }
-            "--words" => {
-                config.words = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--words needs a number"));
-            }
-            "--rounds" => {
-                config.rounds = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--rounds needs a number"));
-            }
-            "--samples" => {
-                config.identity_samples = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
-            }
-            "--trace" => config.trace = true,
-            "--trace-out" => {
-                config.trace = true;
-                trace_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--trace-out needs a path")),
-                ));
-            }
-            "--profile" => config.profile = true,
-            "--profile-out" => {
-                config.profile = true;
-                profile_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--profile-out needs a path")),
-                ));
-            }
-            "--expect-speedup" => {
-                expect_speedup = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--expect-speedup needs a number")),
-                );
-            }
-            other => usage(&format!("unknown argument '{other}'")),
+    Cli::new("oracle", USAGE).parse(|flag, cli| match flag {
+        "--library" => config.library = cli.string(),
+        "--words" => config.words = cli.value(),
+        "--rounds" => config.rounds = cli.value(),
+        "--samples" => config.identity_samples = cli.value(),
+        "--trace" => config.trace = true,
+        "--trace-out" => {
+            config.trace = true;
+            trace_out = Some(cli.path());
         }
-    }
+        "--profile" => config.profile = true,
+        "--profile-out" => {
+            config.profile = true;
+            profile_out = Some(cli.path());
+        }
+        "--expect-speedup" => expect_speedup = Some(cli.value()),
+        _ => cli.unknown(),
+    });
     eprintln!(
         "oracle: {} ({} words x {} rounds, identity budget {})",
         config.library, config.words, config.rounds, config.identity_samples
@@ -116,7 +77,7 @@ fn main() {
         }
     };
     eprint!("{}", report.summary);
-    atlas_bench::emit_report("oracle", &report.json.render(), "ATLAS_ORACLE_OUT");
+    print!("{}", report.json.render());
     atlas_bench::export_trace(&report.recorder, trace_out);
     if let Some(path) = profile_out {
         // A missing histogram must never turn a green benchmark red.
@@ -151,14 +112,7 @@ fn verify_oracle(report: &Json, min_speedup: f64) {
             "bytecode speedup {speedup:.2}x is below the required {min_speedup:.2}x"
         ));
     }
-    if failures.is_empty() {
-        eprintln!(
-            "oracle: contract verified ({speedup:.1}x >= {min_speedup:.1}x, engines identical)"
-        );
-    } else {
-        for failure in &failures {
-            eprintln!("oracle: --expect-speedup failed: {failure}");
-        }
-        std::process::exit(1);
-    }
+    let verified =
+        format!("contract verified ({speedup:.1}x >= {min_speedup:.1}x, engines identical)");
+    atlas_bench::enforce_contract("oracle", "--expect-speedup", &failures, &verified);
 }

@@ -10,11 +10,10 @@
 //!     --library javalib-lang --edits 1000 --expect-throughput 5
 //! ```
 //!
-//! The human summary goes to stderr, the JSON document to stdout (and to
-//! `ATLAS_SERVE_OUT` when set).  Budgets come from the usual knobs
-//! (`ATLAS_SAMPLES`, `ATLAS_THREADS`) plus the `ATLAS_SERVE_*` family for
-//! the daemon (see `atlas_serve::config`) and `ATLAS_SERVE_EDITS` for the
-//! stream length.
+//! The human summary goes to stderr, the JSON document to stdout.  Budgets
+//! come from the usual knobs (`ATLAS_SAMPLES`, `ATLAS_THREADS`) plus the
+//! `ATLAS_SERVE_*` family for the daemon (see `atlas_serve::config`) and
+//! `ATLAS_SERVE_EDITS` for the stream length.
 //!
 //! Flags:
 //!
@@ -45,105 +44,38 @@
 //!   and at least `N` edits per second sustained.  Exits `1` otherwise.
 
 use atlas_bench::{Json, ServeBenchConfig};
+use atlas_core::env::Cli;
 use std::path::PathBuf;
 
-fn usage(message: &str) -> ! {
-    eprintln!(
-        "serve_bench: {message}\nusage: serve_bench [--library NAME] [--samples N] [--threads N] \
-         [--store ROOT] [--edits N] [--sessions N] [--workers N] [--shards N] [--queue N] \
-         [--flush-every N] [--seed N] [--trace] [--trace-out PATH] [--expect-throughput N]"
-    );
-    std::process::exit(1);
-}
+const USAGE: &str = "serve_bench [--library NAME] [--samples N] [--threads N] [--store ROOT] \
+                     [--edits N] [--sessions N] [--workers N] [--shards N] [--queue N] \
+                     [--flush-every N] [--seed N] [--trace] [--trace-out PATH] \
+                     [--expect-throughput N]";
 
 fn main() {
     let mut config = ServeBenchConfig::from_env();
     let mut expect_throughput: Option<f64> = None;
     let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--library" => {
-                config.serve.library = args
-                    .next()
-                    .unwrap_or_else(|| usage("--library needs a name"));
-            }
-            "--samples" => {
-                config.serve.samples = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
-            }
-            "--threads" => {
-                config.serve.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
-            "--store" => {
-                config.serve.store =
-                    PathBuf::from(args.next().unwrap_or_else(|| usage("--store needs a path")));
-            }
-            "--edits" => {
-                config.edits = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--edits needs a number"));
-            }
-            "--sessions" => {
-                config.sessions = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--sessions needs a number"));
-            }
-            "--workers" => {
-                config.serve.workers = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--workers needs a number"));
-            }
-            "--shards" => {
-                config.serve.shard_budget = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--shards needs a number"));
-            }
-            "--queue" => {
-                config.serve.queue_capacity = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--queue needs a number"));
-            }
-            "--flush-every" => {
-                config.serve.flush_every = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--flush-every needs a number"));
-            }
-            "--seed" => {
-                config.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
-            }
-            "--trace" => config.serve.trace = true,
-            "--trace-out" => {
-                config.serve.trace = true;
-                trace_out = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--trace-out needs a path")),
-                ));
-            }
-            "--expect-throughput" => {
-                expect_throughput = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--expect-throughput needs a number")),
-                );
-            }
-            other => usage(&format!("unknown argument '{other}'")),
+    Cli::new("serve_bench", USAGE).parse(|flag, cli| match flag {
+        "--library" => config.serve.library = cli.string(),
+        "--samples" => config.serve.samples = cli.value(),
+        "--threads" => config.serve.threads = cli.value(),
+        "--store" => config.serve.store = cli.path(),
+        "--edits" => config.edits = cli.value(),
+        "--sessions" => config.sessions = cli.value(),
+        "--workers" => config.serve.workers = cli.value(),
+        "--shards" => config.serve.shard_budget = cli.value(),
+        "--queue" => config.serve.queue_capacity = cli.value(),
+        "--flush-every" => config.serve.flush_every = cli.value(),
+        "--seed" => config.seed = cli.value(),
+        "--trace" => config.serve.trace = true,
+        "--trace-out" => {
+            config.serve.trace = true;
+            trace_out = Some(cli.path());
         }
-    }
+        "--expect-throughput" => expect_throughput = Some(cli.value()),
+        _ => cli.unknown(),
+    });
     eprintln!(
         "serve_bench: {} ({} samples/cluster, threads={}, workers={}, sessions={}, edits={}, store={})",
         config.serve.library,
@@ -167,7 +99,7 @@ fn main() {
         }
     };
     eprint!("{}", report.summary);
-    atlas_bench::emit_report("serve_bench", &report.json.render(), "ATLAS_SERVE_OUT");
+    print!("{}", report.json.render());
     atlas_bench::export_trace(&report.recorder, trace_out);
     if let Some(min_throughput) = expect_throughput {
         verify_serve(&report.json, &config, min_throughput);
@@ -209,20 +141,14 @@ fn verify_serve(report: &Json, config: &ServeBenchConfig, min_throughput: f64) {
             "throughput {throughput:.2} edits/s is below the {min_throughput:.2} floor"
         ));
     }
-    if failures.is_empty() {
-        let p99 = report
-            .get("latency_ms")
-            .and_then(|l| l.get("p99"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        eprintln!(
-            "serve_bench: contract verified ({accepted} edits accepted, \
-             {throughput:.1} edits/s, p99 {p99:.2}ms, byte-identical to cold batch)"
-        );
-    } else {
-        for failure in &failures {
-            eprintln!("serve_bench: --expect-throughput failed: {failure}");
-        }
-        std::process::exit(1);
-    }
+    let p99 = report
+        .get("latency_ms")
+        .and_then(|l| l.get("p99"))
+        .and_then(Json::as_f64)
+        .unwrap_or(0.0);
+    let verified = format!(
+        "contract verified ({accepted} edits accepted, \
+         {throughput:.1} edits/s, p99 {p99:.2}ms, byte-identical to cold batch)"
+    );
+    atlas_bench::enforce_contract("serve_bench", "--expect-throughput", &failures, &verified);
 }

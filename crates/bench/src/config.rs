@@ -8,12 +8,19 @@
 //! | `ATLAS_SAMPLES` | phase-one sampling budget per class cluster | 4000 |
 //! | `ATLAS_APPS` | generated benchmark app count | 46 |
 //! | `ATLAS_THREADS` | total worker-thread budget (0 = one per core) | 0 |
+//! | `ATLAS_BATCH_SEED` | base seed of the generated app suite (decimal) | `0xA71A5` |
+//! | `ATLAS_BATCH_MAX_PATTERNS` | most access patterns per generated app | 12 |
+//! | `ATLAS_BATCH_SIZE_FACTOR` | filler-code multiplier on generated-app sizes | 1 |
 //! | `ATLAS_STORE` | persistent store directory (batch: flat layout) | unset |
 //! | `ATLAS_FLEET_STORE` | fingerprint-sharded fleet store root | unset |
 //! | `ATLAS_FLEET_SEED` | base seed of the synthetic fleet libraries | `0x5EED` |
 //! | `ATLAS_FLEET_LIBS` | comma-separated fleet library names | registry default |
+//! | `ATLAS_INCR_STORE` | closure-sharded incremental-leg store root | `target/atlas-incr` |
 //! | `ATLAS_ENGINE` | oracle execution engine (`bytecode` / `tree-walk`) | `bytecode` |
+//! | `ATLAS_ORACLE_WORDS` | oracle-leg workload: most distinct witnesses | 64 |
+//! | `ATLAS_ORACLE_ROUNDS` | oracle-leg executions per witness per engine | 200 |
 //! | `ATLAS_SERVE_EDITS` | serve-leg edit-stream length | 1000 |
+//! | `ATLAS_SERVE_SESSIONS` | serve-leg concurrent sessions | 1 |
 //! | `ATLAS_VM_PROFILE` | per-opcode VM execution counts in oracle legs | off |
 //! | `ATLAS_TRACE` | record span events (`1`/`true`/`yes`/`on`) | off |
 //! | `ATLAS_TRACE_OUT` | Chrome trace-event JSON output path | unset |
@@ -35,7 +42,7 @@
 //! and their defaults.
 
 pub use atlas_core::env::env_path;
-use atlas_core::env::{env_flag, env_parse, env_parse_with, parse_u64};
+use atlas_core::env::{env_flag, env_parse, env_parse_with, parse_u64, DEFAULT_SAMPLES};
 use std::path::PathBuf;
 
 /// The value of a parse, or — for a malformed knob — exit status 1 with
@@ -54,9 +61,10 @@ pub fn env_knob<T: std::str::FromStr>(var: &str) -> Option<T> {
     or_exit(env_parse(var))
 }
 
-/// Reads the per-cluster sampling budget from `ATLAS_SAMPLES` (default 4000).
+/// Reads the per-cluster sampling budget from `ATLAS_SAMPLES` (default
+/// [`DEFAULT_SAMPLES`], shared with the resident service).
 pub fn sample_budget() -> usize {
-    env_knob("ATLAS_SAMPLES").unwrap_or(4_000)
+    env_knob("ATLAS_SAMPLES").unwrap_or(DEFAULT_SAMPLES)
 }
 
 /// Reads the global worker-thread budget from `ATLAS_THREADS` (default 0 =

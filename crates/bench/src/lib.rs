@@ -96,20 +96,17 @@ pub use json::Json;
 pub use oracle::{run_oracle_bench, OracleBenchConfig, OracleBenchReport};
 pub use serve::{run_serve_bench, run_serve_multi_bench, ServeBenchConfig, ServeBenchReport};
 
-/// Emits a pipeline report from a report binary: the JSON goes to stdout
-/// first (the primary output — a bad file path must never lose the run),
-/// then a copy is written to the path named by the `out_env` environment
-/// variable when it is set.  Exits `1` with a `{tag}: cannot write …`
-/// message on a failed file write.
-pub fn emit_report(tag: &str, rendered: &str, out_env: &str) {
-    print!("{rendered}");
-    if let Ok(path) = std::env::var(out_env) {
-        match std::fs::write(&path, rendered) {
-            Ok(()) => eprintln!("{tag}: report written to {path}"),
-            Err(e) => {
-                eprintln!("{tag}: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+/// Ends an `--expect-*` contract check of a report binary: with no
+/// failures, prints `{tag}: {verified}`; otherwise prints every failure as
+/// `{tag}: {gate} failed: …` and exits with status 1, so CI steps can rely
+/// on the exit code.
+pub fn enforce_contract(tag: &str, gate: &str, failures: &[String], verified: &str) {
+    if failures.is_empty() {
+        eprintln!("{tag}: {verified}");
+        return;
     }
+    for failure in failures {
+        eprintln!("{tag}: {gate} failed: {failure}");
+    }
+    std::process::exit(1);
 }

@@ -35,7 +35,7 @@
 //! byte-identical to the cold baseline(s) and the edit stream must sustain
 //! at least `N` edits per second.
 
-use crate::config::{env_knob, or_exit, sample_budget, thread_budget, trace_enabled};
+use crate::config::{env_knob, or_exit};
 use crate::fleet::FleetError;
 use crate::json::Json;
 use atlas_apps::{mutate_library, MutationConfig};
@@ -72,12 +72,8 @@ impl ServeBenchConfig {
     /// for the stream length (default 1000), and `ATLAS_SERVE_SESSIONS`
     /// for the multi-session leg's width (default 1).
     pub fn from_env() -> ServeBenchConfig {
-        let mut serve = or_exit(ServeConfig::from_env());
-        serve.samples = sample_budget();
-        serve.threads = thread_budget();
-        serve.trace = trace_enabled();
         ServeBenchConfig {
-            serve,
+            serve: or_exit(ServeConfig::from_env()),
             edits: env_knob("ATLAS_SERVE_EDITS").unwrap_or(1_000),
             sessions: env_knob("ATLAS_SERVE_SESSIONS").unwrap_or(1),
             seed: 0xA77A5,

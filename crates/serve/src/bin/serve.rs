@@ -27,19 +27,15 @@
 //! modes).  Dirty shards are flushed on shutdown; an orderly EOF also
 //! flushes before exit.
 
+use atlas_core::env::Cli;
 use atlas_serve::{ServeConfig, Service};
 use std::io::BufReader;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 
-fn usage(message: &str) -> ! {
-    eprintln!(
-        "serve: {message}\nusage: serve [--library NAME] [--samples N] [--threads N] \
-         [--workers N] [--store ROOT] [--shards N] [--queue N] [--flush-every N] \
-         [--max-sessions N] [--socket PATH]"
-    );
-    std::process::exit(1);
-}
+const USAGE: &str = "serve [--library NAME] [--samples N] [--threads N] [--workers N] \
+                     [--store ROOT] [--shards N] [--queue N] [--flush-every N] \
+                     [--max-sessions N] [--socket PATH]";
 
 fn main() {
     let mut config = ServeConfig::from_env().unwrap_or_else(|e| {
@@ -47,69 +43,19 @@ fn main() {
         std::process::exit(1);
     });
     let mut socket: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--library" => {
-                config.library = args
-                    .next()
-                    .unwrap_or_else(|| usage("--library needs a name"));
-            }
-            "--samples" => {
-                config.samples = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--samples needs a number"));
-            }
-            "--threads" => {
-                config.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
-            "--workers" => {
-                config.workers = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--workers needs a number"));
-            }
-            "--max-sessions" => {
-                config.max_sessions = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--max-sessions needs a number"));
-            }
-            "--store" => {
-                config.store =
-                    PathBuf::from(args.next().unwrap_or_else(|| usage("--store needs a path")));
-            }
-            "--shards" => {
-                config.shard_budget = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--shards needs a number"));
-            }
-            "--queue" => {
-                config.queue_capacity = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--queue needs a number"));
-            }
-            "--flush-every" => {
-                config.flush_every = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--flush-every needs a number"));
-            }
-            "--socket" => {
-                socket = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| usage("--socket needs a path")),
-                ));
-            }
-            other => usage(&format!("unknown argument '{other}'")),
-        }
-    }
+    Cli::new("serve", USAGE).parse(|flag, cli| match flag {
+        "--library" => config.library = cli.string(),
+        "--samples" => config.samples = cli.value(),
+        "--threads" => config.threads = cli.value(),
+        "--workers" => config.workers = cli.value(),
+        "--max-sessions" => config.max_sessions = cli.value(),
+        "--store" => config.store = cli.path(),
+        "--shards" => config.shard_budget = cli.value(),
+        "--queue" => config.queue_capacity = cli.value(),
+        "--flush-every" => config.flush_every = cli.value(),
+        "--socket" => socket = Some(cli.path()),
+        _ => cli.unknown(),
+    });
 
     let max_frame = config.max_frame;
     eprintln!(

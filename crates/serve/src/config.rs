@@ -3,7 +3,7 @@
 //! | Variable | Meaning | Default |
 //! |---|---|---|
 //! | `ATLAS_SERVE_LIBRARY` | registry name of the library under service | `javalib` |
-//! | `ATLAS_SAMPLES` | phase-one sampling budget per cluster | `2000` |
+//! | `ATLAS_SAMPLES` | phase-one sampling budget per cluster | `4000` |
 //! | `ATLAS_THREADS` | engine worker-thread budget (`0` = all cores) | `0` |
 //! | `ATLAS_SERVE_WORKERS` | service worker-pool size (`0` = auto) | `0` |
 //! | `ATLAS_SERVE_STORE` | closure-sharded store root | `target/atlas-serve` |
@@ -23,11 +23,8 @@
 //! its default, and a set value that does not parse is an error naming
 //! the variable and the value.
 
-use atlas_core::env::{env_flag, env_parse, env_path, env_string};
+use atlas_core::env::{env_flag, env_parse, env_path, env_string, DEFAULT_SAMPLES};
 use std::path::PathBuf;
-
-/// Default phase-one sampling budget (matches `atlas-bench`'s default).
-const DEFAULT_SAMPLES: usize = 2000;
 
 /// The full configuration of one resident service.
 #[derive(Debug, Clone)]

@@ -10,21 +10,27 @@
 //! ATLAS_THREADS=2 cargo run --release --example infer_collections
 //! ```
 
+use atlas_core::env::env_parse;
 use atlas_core::{compare_fragments, AtlasConfig, Engine};
 use atlas_javalib::{
     class_ids, ground_truth_specs, handwritten_specs, library_interface, library_program,
     CLASS_CLUSTERS,
 };
 
+/// Reads a numeric knob, or `default` when it is unset or empty; a value
+/// that does not parse exits with status 1, naming the variable.
+fn knob(var: &str, default: usize) -> usize {
+    env_parse(var)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
+        .unwrap_or(default)
+}
+
 fn main() {
-    let samples: usize = std::env::var("ATLAS_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
-    let num_threads: usize = std::env::var("ATLAS_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let samples = knob("ATLAS_SAMPLES", 10_000);
+    let num_threads = knob("ATLAS_THREADS", 0);
     let library = library_program();
     let interface = library_interface(&library);
     println!(
