@@ -30,6 +30,33 @@ fn bench_inference(c: &mut Criterion) {
         })
     });
 
+    // The sampler alone: an oracle that already answered every word of the
+    // same seeded run replays the draws from its verdict cache, so the
+    // iteration time is the sampler's, not unit-test execution's.
+    let mut warm_oracle = Oracle::new(&library, &interface, OracleConfig::default());
+    let sample_4000 = |oracle: &mut Oracle<'_>| {
+        sample_positive_examples(
+            &restricted,
+            oracle,
+            SamplingStrategy::Mcts,
+            4_000,
+            &SamplerConfig::default(),
+        )
+    };
+    sample_4000(&mut warm_oracle);
+    c.bench_function("phase1_sampling_4000_mcts_warm", |b| {
+        b.iter(|| {
+            let executions = warm_oracle.stats().executions;
+            let result = sample_4000(&mut warm_oracle);
+            assert_eq!(
+                warm_oracle.stats().executions,
+                executions,
+                "warm sampling must not execute"
+            );
+            result
+        })
+    });
+
     // Pre-compute positives once for the phase-two bench.
     let mut oracle = Oracle::new(&library, &interface, OracleConfig::default());
     let samples = sample_positive_examples(

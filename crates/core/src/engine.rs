@@ -641,6 +641,8 @@ pub(crate) fn run_cluster_job(
         vec![
             ("samples", ArgValue::from(samples.num_samples)),
             ("positives", ArgValue::from(samples.positives.len())),
+            ("steps", ArgValue::from(samples.steps)),
+            ("score_nodes", ArgValue::from(samples.score_nodes)),
         ],
     );
 
@@ -671,6 +673,9 @@ pub(crate) fn run_cluster_job(
         }
         let cache_stats = cache.stats();
         lane.count("engine.clusters", 1);
+        lane.count("engine.sample_draws", samples.num_samples as u64);
+        lane.count("engine.sample_steps", samples.steps as u64);
+        lane.count("engine.sample_score_nodes", samples.score_nodes as u64);
         lane.count("engine.oracle_queries", stats.queries as u64);
         lane.count("engine.oracle_executions", stats.executions as u64);
         lane.count("engine.cache_lookups", cache_stats.lookups as u64);

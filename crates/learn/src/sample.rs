@@ -6,9 +6,15 @@
 //! returns across steps, termination only after a return).  Two sampling
 //! strategies choose among the admissible symbols: uniformly at random, or
 //! by Monte-Carlo tree search with a softmax over learned scores.
+//!
+//! `T(s)` depends only on the parity of `|s|`, the last symbol of `s` and
+//! whether `s` has reached the length cap, so every admissible list is
+//! built once per call ([`ChoiceTables`]).  The MCTS scores live in a
+//! prefix trie ([`ScoreTrie`]) whose nodes hold one score and one child
+//! per admissible choice, so a draw neither allocates nor hashes.
 
 use crate::oracle::Oracle;
-use atlas_ir::{LibraryInterface, MethodId, ParamSlot};
+use atlas_ir::{ClassId, LibraryInterface, MethodId, ParamSlot};
 use atlas_spec::PathSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,6 +60,11 @@ pub struct SampleResult {
     pub num_samples: usize,
     /// Number of samples accepted by the oracle (counting duplicates).
     pub num_positive_samples: usize,
+    /// Number of choices made over all draws (symbols and terminations).
+    pub steps: usize,
+    /// Number of nodes in the MCTS score trie: one per reinforced prefix
+    /// (always 0 for [`SamplingStrategy::Random`]).
+    pub score_nodes: usize,
 }
 
 impl SampleResult {
@@ -67,10 +78,11 @@ impl SampleResult {
     }
 }
 
-/// A choice made at one sampling step: either the next symbol or termination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A choice made at one sampling step: either the next symbol (an interned
+/// slot id, see [`ChoiceTables`]) or termination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Choice {
-    Symbol(ParamSlot),
+    Symbol(u32),
     Stop,
 }
 
@@ -82,159 +94,194 @@ pub fn sample_positive_examples(
     num_samples: usize,
     config: &SamplerConfig,
 ) -> SampleResult {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    sample_with(
+        interface,
+        |word| oracle.check_word(word),
+        strategy,
+        num_samples,
+        config,
+    )
+}
+
+/// The sampler proper, with the oracle abstracted to a verdict function so
+/// that tests can drive it with synthetic verdicts.
+fn sample_with(
+    interface: &LibraryInterface,
+    mut verdict: impl FnMut(&[ParamSlot]) -> bool,
+    strategy: SamplingStrategy,
+    num_samples: usize,
+    config: &SamplerConfig,
+) -> SampleResult {
     let mut result = SampleResult::default();
-    let mut seen: BTreeSet<Vec<ParamSlot>> = BTreeSet::new();
-    let mut scores: HashMap<(Vec<ParamSlot>, Choice), f64> = HashMap::new();
-    // Pre-compute the per-method slot lists.
-    let slots_by_method: HashMap<MethodId, Vec<ParamSlot>> = {
-        let mut map: HashMap<MethodId, Vec<ParamSlot>> = HashMap::new();
-        for &slot in interface.slots() {
-            map.entry(slot.method).or_default().push(slot);
-        }
-        map
-    };
-    let all_slots: Vec<ParamSlot> = interface.slots().to_vec();
-    let input_slots: Vec<ParamSlot> = all_slots.iter().copied().filter(|s| s.is_input()).collect();
-    if all_slots.is_empty() {
+    if interface.slots().is_empty() {
         return result;
     }
-    // Declaring class of each method, used by the MCTS prior: continuations
-    // that stay within the class of the previous call are favoured before
-    // any reinforcement signal arrives.
-    let class_of: HashMap<MethodId, atlas_ir::ClassId> = interface
-        .methods()
-        .iter()
-        .map(|sig| (sig.method, sig.class))
-        .collect();
+    let tables = ChoiceTables::new(interface, config.max_steps * 2);
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut seen: BTreeSet<Vec<ParamSlot>> = BTreeSet::new();
+    let mut trie = ScoreTrie::default();
+    // Buffers reused across draws: the word as slot ids and as slots, the
+    // index of each choice within its admissible list, and the weights.
+    let mut draw = Draw::default();
 
     for _ in 0..num_samples {
         result.num_samples += 1;
-        let Some(word) = sample_one(
-            &all_slots,
-            &input_slots,
-            &slots_by_method,
-            &class_of,
-            strategy,
-            config,
-            &scores,
-            &mut rng,
-        ) else {
+        let completed = draw.run(&tables, &trie, strategy, &mut rng);
+        result.steps += draw.path.len();
+        if !completed {
             continue;
-        };
-        let accepted = oracle.check_word(&word);
+        }
+        let accepted = verdict(&draw.symbols);
         if strategy == SamplingStrategy::Mcts {
-            reinforce(&mut scores, &word, accepted, config.learning_rate);
+            trie.reinforce(&tables, &draw, accepted, config.learning_rate);
         }
         if accepted {
             result.num_positive_samples += 1;
-            if seen.insert(word.clone()) {
-                if let Ok(spec) = PathSpec::new(word) {
+            if !seen.contains(draw.symbols.as_slice()) {
+                seen.insert(draw.symbols.clone());
+                if let Ok(spec) = PathSpec::new(draw.symbols.clone()) {
                     result.positives.push(spec);
                 }
             }
         }
     }
+    result.score_nodes = trie.num_nodes();
     result
 }
 
-/// Samples a single candidate word, or `None` if the draw had to be
-/// abandoned (length cap reached without a valid termination point).
-#[allow(clippy::too_many_arguments)]
-fn sample_one(
-    all_slots: &[ParamSlot],
-    input_slots: &[ParamSlot],
-    slots_by_method: &HashMap<MethodId, Vec<ParamSlot>>,
-    class_of: &HashMap<MethodId, atlas_ir::ClassId>,
-    strategy: SamplingStrategy,
-    config: &SamplerConfig,
-    scores: &HashMap<(Vec<ParamSlot>, Choice), f64>,
-    rng: &mut StdRng,
-) -> Option<Vec<ParamSlot>> {
-    let mut word: Vec<ParamSlot> = Vec::new();
-    let max_len = config.max_steps * 2;
-    loop {
-        let choices: Vec<Choice> =
-            admissible_choices(&word, all_slots, input_slots, slots_by_method, max_len);
-        if choices.is_empty() {
-            return None;
-        }
-        let choice = match strategy {
-            SamplingStrategy::Random => choices[rng.gen_range(0..choices.len())],
-            SamplingStrategy::Mcts => softmax_choice(&choices, &word, scores, class_of, rng),
-        };
-        match choice {
-            Choice::Stop => return Some(word),
-            Choice::Symbol(slot) => word.push(slot),
-        }
-        if word.len() > max_len {
-            return None;
-        }
-    }
-}
-
-/// The admissible next choices `T(s)` for the partial word `s`.
-fn admissible_choices(
-    word: &[ParamSlot],
-    all_slots: &[ParamSlot],
-    input_slots: &[ParamSlot],
-    slots_by_method: &HashMap<MethodId, Vec<ParamSlot>>,
+/// The admissible-choice lists of one interface, built once per sampling
+/// call.  Slots are interned to dense ids in interface order; every list
+/// keeps the order in which the map-based sampler enumerated `T(s)`.
+struct ChoiceTables {
+    /// Interned slots: id → slot.
+    slots: Vec<ParamSlot>,
+    /// Declaring class of each interned slot's method (the MCTS prior).
+    class: Vec<Option<ClassId>>,
+    /// All lists back to back; [`ChoiceTables::list`] slices them.
+    choices: Vec<Choice>,
+    /// `(start, end)` into `choices` per list id (see the `*_LIST` ids;
+    /// list `FIRST_METHOD_LIST + id` follows the entry symbol `id`).
+    ranges: Vec<(u32, u32)>,
+    /// The length cap `2 · max_steps`.
     max_len: usize,
-) -> Vec<Choice> {
-    let mut out = Vec::new();
-    if word.len() % 2 == 1 {
-        // We just placed an entry symbol z_i: the exit symbol w_i must
-        // belong to the same method.  The degenerate choice w_i = z_i is
-        // excluded (it carries no points-to information).
-        let z = word[word.len() - 1];
-        if let Some(slots) = slots_by_method.get(&z.method) {
-            out.extend(
-                slots
-                    .iter()
-                    .filter(|&&s| s != z)
-                    .map(|&s| Choice::Symbol(s)),
-            );
-        }
-        return out;
-    }
-    if word.is_empty() {
-        // First entry symbol: any slot.
-        if word.len() < max_len {
-            out.extend(all_slots.iter().map(|&s| Choice::Symbol(s)));
-        }
-        return out;
-    }
-    // We just placed an exit symbol w_i.
-    let w = word[word.len() - 1];
-    if w.is_return() {
-        // The word is currently a valid specification: termination allowed,
-        // and continuation only with input symbols (no consecutive returns).
-        out.push(Choice::Stop);
-        if word.len() < max_len {
-            out.extend(input_slots.iter().map(|&s| Choice::Symbol(s)));
-        }
-    } else if word.len() < max_len {
-        // Continuation with any symbol.
-        out.extend(all_slots.iter().map(|&s| Choice::Symbol(s)));
-    }
-    out
 }
 
-/// Softmax selection over the learned scores.  Unvisited choices fall back
-/// to a structural prior: continuations within the class of the previous
-/// call score higher, and termination gets a small positive score.
-fn softmax_choice(
-    choices: &[Choice],
-    word: &[ParamSlot],
-    scores: &HashMap<(Vec<ParamSlot>, Choice), f64>,
-    class_of: &HashMap<MethodId, atlas_ir::ClassId>,
-    rng: &mut StdRng,
-) -> Choice {
-    let prior = |c: &Choice| -> f64 {
-        match (c, word.last()) {
+/// No admissible choice: the draw is abandoned.
+const EMPTY_LIST: usize = 0;
+/// Every slot, in interface order.
+const ALL_LIST: usize = 1;
+/// After a return below the cap: termination, then every input slot.
+const RETURN_LIST: usize = 2;
+/// After a return at the cap: termination only.
+const STOP_LIST: usize = 3;
+/// After the entry symbol with id `i`: list `FIRST_METHOD_LIST + i`.
+const FIRST_METHOD_LIST: usize = 4;
+
+impl ChoiceTables {
+    fn new(interface: &LibraryInterface, max_len: usize) -> ChoiceTables {
+        let mut ids: HashMap<ParamSlot, u32> = HashMap::new();
+        let mut slots = Vec::new();
+        let mut order = Vec::with_capacity(interface.slots().len());
+        for &slot in interface.slots() {
+            let id = *ids.entry(slot).or_insert_with(|| {
+                slots.push(slot);
+                (slots.len() - 1) as u32
+            });
+            order.push(id);
+        }
+        let class_of: HashMap<MethodId, ClassId> = interface
+            .methods()
+            .iter()
+            .map(|sig| (sig.method, sig.class))
+            .collect();
+        let class = slots
+            .iter()
+            .map(|s| class_of.get(&s.method).copied())
+            .collect();
+        let mut by_method: HashMap<MethodId, Vec<u32>> = HashMap::new();
+        for &id in &order {
+            by_method
+                .entry(slots[id as usize].method)
+                .or_default()
+                .push(id);
+        }
+
+        let mut tables = ChoiceTables {
+            slots,
+            class,
+            choices: Vec::new(),
+            ranges: Vec::new(),
+            max_len,
+        };
+        tables.push_list(std::iter::empty());
+        tables.push_list(order.iter().map(|&id| Choice::Symbol(id)));
+        let inputs: Vec<Choice> = order
+            .iter()
+            .filter(|&&id| tables.slots[id as usize].is_input())
+            .map(|&id| Choice::Symbol(id))
+            .collect();
+        tables.push_list(std::iter::once(Choice::Stop).chain(inputs));
+        tables.push_list(std::iter::once(Choice::Stop));
+        for z in 0..tables.slots.len() as u32 {
+            // The exit symbol belongs to the entry symbol's method; the
+            // degenerate choice w_i = z_i carries no points-to information.
+            let same_method = &by_method[&tables.slots[z as usize].method];
+            let others: Vec<Choice> = same_method
+                .iter()
+                .filter(|&&id| id != z)
+                .map(|&id| Choice::Symbol(id))
+                .collect();
+            tables.push_list(others);
+        }
+        tables
+    }
+
+    fn push_list(&mut self, list: impl IntoIterator<Item = Choice>) {
+        let start = self.choices.len() as u32;
+        self.choices.extend(list);
+        self.ranges.push((start, self.choices.len() as u32));
+    }
+
+    fn list(&self, id: usize) -> &[Choice] {
+        let (start, end) = self.ranges[id];
+        &self.choices[start as usize..end as usize]
+    }
+
+    /// The id of the admissible list `T(s)` for a partial word of length
+    /// `len` whose last symbol is `last`.
+    fn admissible(&self, len: usize, last: Option<u32>) -> usize {
+        let below_cap = len < self.max_len;
+        match last {
+            // First entry symbol: any slot.
+            None if below_cap => ALL_LIST,
+            None => EMPTY_LIST,
+            // We just placed an entry symbol z_i: the exit symbol w_i must
+            // belong to the same method.
+            Some(z) if len % 2 == 1 => FIRST_METHOD_LIST + z as usize,
+            // We just placed a return: the word is currently a valid
+            // specification, so termination is allowed, and continuation
+            // only with input symbols (no consecutive returns).
+            Some(w) if self.slots[w as usize].is_return() => {
+                if below_cap {
+                    RETURN_LIST
+                } else {
+                    STOP_LIST
+                }
+            }
+            // Any other exit symbol: continuation with any symbol.
+            Some(_) if below_cap => ALL_LIST,
+            Some(_) => EMPTY_LIST,
+        }
+    }
+
+    /// The structural prior of an unvisited choice: continuations within
+    /// the class of the previous call score higher, and termination gets a
+    /// small positive score.
+    fn prior(&self, choice: Choice, last: Option<u32>) -> f64 {
+        match (choice, last) {
             (Choice::Stop, _) => 0.75,
             (Choice::Symbol(s), Some(prev)) => {
-                if class_of.get(&s.method) == class_of.get(&prev.method) {
+                if self.class[s as usize] == self.class[prev as usize] {
                     1.5
                 } else {
                     0.0
@@ -242,48 +289,171 @@ fn softmax_choice(
             }
             (Choice::Symbol(_), None) => 0.0,
         }
-    };
-    let weights: Vec<f64> = choices
-        .iter()
-        .map(|c| {
-            scores
-                .get(&(word.to_vec(), *c))
-                .copied()
-                .unwrap_or_else(|| prior(c))
-                .exp()
-        })
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut pick = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-    for (c, w) in choices.iter().zip(&weights) {
-        if pick < *w {
-            return *c;
-        }
-        pick -= w;
     }
-    *choices.last().expect("choices non-empty")
 }
 
-/// Reinforces the prefix scores of a sampled word with the oracle outcome.
-fn reinforce(
-    scores: &mut HashMap<(Vec<ParamSlot>, Choice), f64>,
-    word: &[ParamSlot],
-    accepted: bool,
-    alpha: f64,
-) {
-    let outcome = if accepted { 1.0 } else { 0.0 };
-    for i in 0..=word.len() {
-        let prefix = word[..i.min(word.len())].to_vec();
-        let choice = if i == word.len() {
-            Choice::Stop
+/// Sentinel for "no node" in [`ScoreTrie`].
+const NO_NODE: u32 = u32::MAX;
+
+/// MCTS scores keyed by (prefix, choice), as a prefix trie.  Node `n`
+/// stands for one reinforced prefix `s` and owns the slots
+/// `start[n] .. start[n] + |T(s)|` of `scores` and `children`, one per
+/// admissible choice in list order.  A `NaN` score means "never
+/// reinforced" and falls back to the prior; `NO_NODE` means no word
+/// extending the prefix by that choice was reinforced yet.
+#[derive(Default)]
+struct ScoreTrie {
+    start: Vec<u32>,
+    scores: Vec<f64>,
+    children: Vec<u32>,
+}
+
+impl ScoreTrie {
+    fn num_nodes(&self) -> usize {
+        self.start.len()
+    }
+
+    /// The root (empty prefix), or `NO_NODE` before the first reinforcement.
+    fn root(&self) -> u32 {
+        if self.start.is_empty() {
+            NO_NODE
         } else {
-            Choice::Symbol(word[i])
-        };
-        let entry = scores.entry((prefix, choice)).or_insert(0.0);
-        *entry = (1.0 - alpha) * *entry + alpha * outcome;
-        if i == word.len() {
-            break;
+            0
         }
+    }
+
+    fn add_node(&mut self, width: usize) -> u32 {
+        let id = self.start.len() as u32;
+        self.start.push(self.scores.len() as u32);
+        self.scores.resize(self.scores.len() + width, f64::NAN);
+        self.children.resize(self.children.len() + width, NO_NODE);
+        id
+    }
+
+    /// The learned score of choice `k` at `node`, if it was ever reinforced.
+    fn score(&self, node: u32, k: usize) -> Option<f64> {
+        if node == NO_NODE {
+            return None;
+        }
+        let score = self.scores[self.start[node as usize] as usize + k];
+        (!score.is_nan()).then_some(score)
+    }
+
+    /// The child of `node` along choice `k`.
+    fn child(&self, node: u32, k: usize) -> u32 {
+        if node == NO_NODE {
+            NO_NODE
+        } else {
+            self.children[self.start[node as usize] as usize + k]
+        }
+    }
+
+    /// Reinforces the score of every (prefix, choice) of a completed draw
+    /// with the oracle outcome, creating the nodes of new prefixes.
+    fn reinforce(&mut self, tables: &ChoiceTables, draw: &Draw, accepted: bool, alpha: f64) {
+        let outcome = if accepted { 1.0 } else { 0.0 };
+        let mut node = self.root();
+        if node == NO_NODE {
+            node = self.add_node(tables.list(tables.admissible(0, None)).len());
+        }
+        for (depth, &k) in draw.path.iter().enumerate() {
+            let at = self.start[node as usize] as usize + k as usize;
+            let old = self.scores[at];
+            let old = if old.is_nan() { 0.0 } else { old };
+            self.scores[at] = (1.0 - alpha) * old + alpha * outcome;
+            if depth + 1 == draw.path.len() {
+                // The last choice is the termination.
+                break;
+            }
+            node = match self.children[at] {
+                NO_NODE => {
+                    let list = tables.admissible(depth + 1, Some(draw.word[depth]));
+                    let child = self.add_node(tables.list(list).len());
+                    self.children[at] = child;
+                    child
+                }
+                child => child,
+            };
+        }
+    }
+}
+
+/// One draw's buffers, reused across draws.
+#[derive(Default)]
+struct Draw {
+    /// The word as interned slot ids.
+    word: Vec<u32>,
+    /// The word as slots (what the verdict sees).
+    symbols: Vec<ParamSlot>,
+    /// The index of each choice within its admissible list.
+    path: Vec<u32>,
+    /// Softmax weights of the current step.
+    weights: Vec<f64>,
+}
+
+impl Draw {
+    /// Samples a single candidate word; `false` if the draw had to be
+    /// abandoned (length cap reached without a valid termination point).
+    fn run(
+        &mut self,
+        tables: &ChoiceTables,
+        trie: &ScoreTrie,
+        strategy: SamplingStrategy,
+        rng: &mut StdRng,
+    ) -> bool {
+        self.word.clear();
+        self.symbols.clear();
+        self.path.clear();
+        let mut node = trie.root();
+        loop {
+            let last = self.word.last().copied();
+            let choices = tables.list(tables.admissible(self.word.len(), last));
+            if choices.is_empty() {
+                return false;
+            }
+            let k = match strategy {
+                SamplingStrategy::Random => rng.gen_range(0..choices.len()),
+                SamplingStrategy::Mcts => self.softmax_choice(
+                    choices,
+                    |i, c| trie.score(node, i).unwrap_or_else(|| tables.prior(c, last)),
+                    rng,
+                ),
+            };
+            self.path.push(k as u32);
+            match choices[k] {
+                Choice::Stop => return true,
+                Choice::Symbol(id) => {
+                    self.word.push(id);
+                    self.symbols.push(tables.slots[id as usize]);
+                }
+            }
+            if self.word.len() > tables.max_len {
+                return false;
+            }
+            node = trie.child(node, k);
+        }
+    }
+
+    /// Softmax selection over `score(i, choice)`; returns the index of the
+    /// chosen entry of `choices`.
+    fn softmax_choice(
+        &mut self,
+        choices: &[Choice],
+        score: impl Fn(usize, Choice) -> f64,
+        rng: &mut StdRng,
+    ) -> usize {
+        self.weights.clear();
+        self.weights
+            .extend(choices.iter().enumerate().map(|(i, &c)| score(i, c).exp()));
+        let total: f64 = self.weights.iter().sum();
+        let mut pick = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+        for (i, w) in self.weights.iter().enumerate() {
+            if pick < *w {
+                return i;
+            }
+            pick -= w;
+        }
+        choices.len() - 1
     }
 }
 
@@ -292,7 +462,8 @@ mod tests {
     use super::*;
     use crate::oracle::{Oracle, OracleConfig};
     use atlas_ir::builder::ProgramBuilder;
-    use atlas_ir::{Program, Type};
+    use atlas_ir::{Program, SlotKind, Type};
+    use proptest::prelude::*;
 
     fn box_program() -> Program {
         let mut pb = ProgramBuilder::new();
@@ -322,6 +493,295 @@ mod tests {
         get.finish();
         c.build();
         pb.build()
+    }
+
+    /// Reference copy of the original map-based sampler: it allocates each
+    /// prefix and hashes a `(prefix, choice)` key per admissible choice.
+    /// [`sample_with`] must query exactly the same words.
+    mod reference {
+        use super::*;
+
+        type Prefix = Vec<ParamSlot>;
+        type Scores = HashMap<(Prefix, RefChoice), f64>;
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        enum RefChoice {
+            Symbol(ParamSlot),
+            Stop,
+        }
+
+        /// The sampling run, and the number of distinct prefixes with a
+        /// score (the trie's node count).
+        pub(super) fn sample(
+            interface: &LibraryInterface,
+            mut verdict: impl FnMut(&[ParamSlot]) -> bool,
+            strategy: SamplingStrategy,
+            num_samples: usize,
+            config: &SamplerConfig,
+        ) -> (SampleResult, usize) {
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let mut result = SampleResult::default();
+            let mut seen: BTreeSet<Vec<ParamSlot>> = BTreeSet::new();
+            let mut scores: Scores = HashMap::new();
+            let slots_by_method: HashMap<MethodId, Vec<ParamSlot>> = {
+                let mut map: HashMap<MethodId, Vec<ParamSlot>> = HashMap::new();
+                for &slot in interface.slots() {
+                    map.entry(slot.method).or_default().push(slot);
+                }
+                map
+            };
+            let all_slots: Vec<ParamSlot> = interface.slots().to_vec();
+            let input_slots: Vec<ParamSlot> =
+                all_slots.iter().copied().filter(|s| s.is_input()).collect();
+            if all_slots.is_empty() {
+                return (result, 0);
+            }
+            let class_of: HashMap<MethodId, ClassId> = interface
+                .methods()
+                .iter()
+                .map(|sig| (sig.method, sig.class))
+                .collect();
+            for _ in 0..num_samples {
+                result.num_samples += 1;
+                let Some(word) = sample_one(
+                    &all_slots,
+                    &input_slots,
+                    &slots_by_method,
+                    &class_of,
+                    strategy,
+                    config,
+                    &scores,
+                    &mut rng,
+                ) else {
+                    continue;
+                };
+                let accepted = verdict(&word);
+                if strategy == SamplingStrategy::Mcts {
+                    reinforce(&mut scores, &word, accepted, config.learning_rate);
+                }
+                if accepted {
+                    result.num_positive_samples += 1;
+                    if seen.insert(word.clone()) {
+                        if let Ok(spec) = PathSpec::new(word) {
+                            result.positives.push(spec);
+                        }
+                    }
+                }
+            }
+            let prefixes: BTreeSet<&Prefix> = scores.keys().map(|(p, _)| p).collect();
+            let nodes = prefixes.len();
+            (result, nodes)
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn sample_one(
+            all_slots: &[ParamSlot],
+            input_slots: &[ParamSlot],
+            slots_by_method: &HashMap<MethodId, Vec<ParamSlot>>,
+            class_of: &HashMap<MethodId, ClassId>,
+            strategy: SamplingStrategy,
+            config: &SamplerConfig,
+            scores: &Scores,
+            rng: &mut StdRng,
+        ) -> Option<Vec<ParamSlot>> {
+            let mut word: Vec<ParamSlot> = Vec::new();
+            let max_len = config.max_steps * 2;
+            loop {
+                let choices: Vec<RefChoice> =
+                    admissible_choices(&word, all_slots, input_slots, slots_by_method, max_len);
+                if choices.is_empty() {
+                    return None;
+                }
+                let choice = match strategy {
+                    SamplingStrategy::Random => choices[rng.gen_range(0..choices.len())],
+                    SamplingStrategy::Mcts => {
+                        softmax_choice(&choices, &word, scores, class_of, rng)
+                    }
+                };
+                match choice {
+                    RefChoice::Stop => return Some(word),
+                    RefChoice::Symbol(slot) => word.push(slot),
+                }
+                if word.len() > max_len {
+                    return None;
+                }
+            }
+        }
+
+        fn admissible_choices(
+            word: &[ParamSlot],
+            all_slots: &[ParamSlot],
+            input_slots: &[ParamSlot],
+            slots_by_method: &HashMap<MethodId, Vec<ParamSlot>>,
+            max_len: usize,
+        ) -> Vec<RefChoice> {
+            let mut out = Vec::new();
+            if word.len() % 2 == 1 {
+                let z = word[word.len() - 1];
+                if let Some(slots) = slots_by_method.get(&z.method) {
+                    out.extend(
+                        slots
+                            .iter()
+                            .filter(|&&s| s != z)
+                            .map(|&s| RefChoice::Symbol(s)),
+                    );
+                }
+                return out;
+            }
+            if word.is_empty() {
+                if word.len() < max_len {
+                    out.extend(all_slots.iter().map(|&s| RefChoice::Symbol(s)));
+                }
+                return out;
+            }
+            let w = word[word.len() - 1];
+            if w.is_return() {
+                out.push(RefChoice::Stop);
+                if word.len() < max_len {
+                    out.extend(input_slots.iter().map(|&s| RefChoice::Symbol(s)));
+                }
+            } else if word.len() < max_len {
+                out.extend(all_slots.iter().map(|&s| RefChoice::Symbol(s)));
+            }
+            out
+        }
+
+        fn softmax_choice(
+            choices: &[RefChoice],
+            word: &[ParamSlot],
+            scores: &Scores,
+            class_of: &HashMap<MethodId, ClassId>,
+            rng: &mut StdRng,
+        ) -> RefChoice {
+            let prior = |c: &RefChoice| -> f64 {
+                match (c, word.last()) {
+                    (RefChoice::Stop, _) => 0.75,
+                    (RefChoice::Symbol(s), Some(prev)) => {
+                        if class_of.get(&s.method) == class_of.get(&prev.method) {
+                            1.5
+                        } else {
+                            0.0
+                        }
+                    }
+                    (RefChoice::Symbol(_), None) => 0.0,
+                }
+            };
+            let weights: Vec<f64> = choices
+                .iter()
+                .map(|c| {
+                    scores
+                        .get(&(word.to_vec(), *c))
+                        .copied()
+                        .unwrap_or_else(|| prior(c))
+                        .exp()
+                })
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let mut pick = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+            for (c, w) in choices.iter().zip(&weights) {
+                if pick < *w {
+                    return *c;
+                }
+                pick -= w;
+            }
+            *choices.last().expect("choices non-empty")
+        }
+
+        fn reinforce(scores: &mut Scores, word: &[ParamSlot], accepted: bool, alpha: f64) {
+            let outcome = if accepted { 1.0 } else { 0.0 };
+            for i in 0..=word.len() {
+                let prefix = word[..i.min(word.len())].to_vec();
+                let choice = if i == word.len() {
+                    RefChoice::Stop
+                } else {
+                    RefChoice::Symbol(word[i])
+                };
+                let entry = scores.entry((prefix, choice)).or_insert(0.0);
+                *entry = (1.0 - alpha) * *entry + alpha * outcome;
+                if i == word.len() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// A synthetic verdict: a salted FNV-style hash of the word, accepted
+    /// when it falls below `accept` out of 8.
+    fn hashed_verdict(word: &[ParamSlot], salt: u64, accept: u64) -> bool {
+        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt;
+        for slot in word {
+            let kind = match slot.kind {
+                SlotKind::Receiver => 0,
+                SlotKind::Param(i) => 1 + u64::from(i),
+                SlotKind::Return => 0xffff,
+            };
+            for v in [u64::from(slot.method.index()), kind] {
+                h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        (h >> 32) % 8 < accept
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The trie sampler and the map-based reference, fed the same
+        /// synthetic verdicts, query the same words in the same order and
+        /// return the same result; the trie has one node per scored prefix.
+        #[test]
+        fn trie_sampler_queries_the_same_words_as_the_map_sampler(
+            picks in proptest::collection::vec(any::<prop::sample::Index>(), 1..4),
+            mcts in any::<bool>(),
+            max_steps in 0usize..=4,
+            seed in any::<u64>(),
+            alpha_1024 in 0u32..=1024,
+            salt in any::<u64>(),
+            accept in 0u64..=8,
+            num_samples in 0usize..400,
+        ) {
+            let program = atlas_javalib::library_program();
+            let interface = atlas_javalib::library_interface(&program);
+            let classes: Vec<ClassId> = {
+                let all: BTreeSet<ClassId> =
+                    interface.methods().iter().map(|sig| sig.class).collect();
+                let all: Vec<ClassId> = all.into_iter().collect();
+                picks.iter().map(|i| all[i.index(all.len())]).collect()
+            };
+            let cluster = interface.restrict_to_classes(&classes);
+            let strategy = if mcts { SamplingStrategy::Mcts } else { SamplingStrategy::Random };
+            let config = SamplerConfig {
+                max_steps,
+                seed,
+                learning_rate: f64::from(alpha_1024) / 1024.0,
+            };
+            let mut queried = Vec::new();
+            let result = sample_with(
+                &cluster,
+                |w| {
+                    queried.push(w.to_vec());
+                    hashed_verdict(w, salt, accept)
+                },
+                strategy,
+                num_samples,
+                &config,
+            );
+            let mut expected_queried = Vec::new();
+            let (expected, prefixes) = reference::sample(
+                &cluster,
+                |w| {
+                    expected_queried.push(w.to_vec());
+                    hashed_verdict(w, salt, accept)
+                },
+                strategy,
+                num_samples,
+                &config,
+            );
+            prop_assert_eq!(queried, expected_queried);
+            prop_assert_eq!(result.num_samples, expected.num_samples);
+            prop_assert_eq!(result.num_positive_samples, expected.num_positive_samples);
+            prop_assert_eq!(result.positives, expected.positives);
+            prop_assert_eq!(result.score_nodes, prefixes);
+        }
     }
 
     #[test]

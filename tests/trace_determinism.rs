@@ -191,7 +191,17 @@ fn counters_are_independent_of_thread_count() {
         let _ = batch_artifact(&lib, threads, recorder.clone());
         recorder.counters()
     };
-    assert_eq!(counts(1), counts(4));
+    let sequential = counts(1);
+    // Phase one's counters are recorded on every cluster lane.
+    for name in [
+        "engine.sample_draws",
+        "engine.sample_steps",
+        "engine.sample_score_nodes",
+    ] {
+        let count = sequential.get(name).copied();
+        assert!(matches!(count, Some(c) if c > 0), "{name}: {count:?}");
+    }
+    assert_eq!(sequential, counts(4));
 }
 
 const KINDS: &[MutationKind] = &[
