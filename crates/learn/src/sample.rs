@@ -9,9 +9,12 @@
 //!
 //! `T(s)` depends only on the parity of `|s|`, the last symbol of `s` and
 //! whether `s` has reached the length cap, so every admissible list is
-//! built once per call ([`ChoiceTables`]).  The MCTS scores live in a
-//! prefix trie ([`ScoreTrie`]) whose nodes hold one score and one child
-//! per admissible choice, so a draw neither allocates nor hashes.
+//! built once per call (`ChoiceTables`).  The MCTS scores live in a
+//! prefix trie (`ScoreTrie`) whose nodes hold one score, softmax weight
+//! and child per admissible choice, so a draw neither allocates nor
+//! hashes.  Every draw makes the same RNG calls and computes bit-equal
+//! weights as a map keyed by (prefix, choice) would, so a seed yields the
+//! same words.
 
 use crate::oracle::Oracle;
 use atlas_ir::{ClassId, LibraryInterface, MethodId, ParamSlot};
@@ -78,8 +81,8 @@ impl SampleResult {
     }
 }
 
-/// A choice made at one sampling step: either the next symbol (an interned
-/// slot id, see [`ChoiceTables`]) or termination.
+/// A choice made at one sampling step: either the next symbol (a slot id,
+/// see [`ChoiceTables`]) or termination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Choice {
     Symbol(u32),
@@ -120,8 +123,8 @@ fn sample_with(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut seen: BTreeSet<Vec<ParamSlot>> = BTreeSet::new();
     let mut trie = ScoreTrie::default();
-    // Buffers reused across draws: the word as slot ids and as slots, the
-    // index of each choice within its admissible list, and the weights.
+    // Buffers reused across draws: the word as slot ids and as slots, and
+    // the index of each choice within its admissible list.
     let mut draw = Draw::default();
 
     for _ in 0..num_samples {
@@ -150,138 +153,137 @@ fn sample_with(
 }
 
 /// The admissible-choice lists of one interface, built once per sampling
-/// call.  Slots are interned to dense ids in interface order; every list
-/// keeps the order in which the map-based sampler enumerated `T(s)`.
+/// call.  A slot's id is its position in the interface, whose slots are
+/// distinct (one per method and reference variable).
+///
+/// A *state* is everything `T(s)` and the prior of its choices depend on:
+/// the parity of `|s|`, the last symbol of `s` (for the prior, only its
+/// class) and whether `s` reached the length cap.  Each state owns one
+/// slice of `choices`, in the order the map-based sampler enumerated
+/// `T(s)`, and the matching slice of `prior_weights`.
 struct ChoiceTables {
-    /// Interned slots: id → slot.
+    /// The interface's slots, by id.
     slots: Vec<ParamSlot>,
-    /// Declaring class of each interned slot's method (the MCTS prior).
-    class: Vec<Option<ClassId>>,
-    /// All lists back to back; [`ChoiceTables::list`] slices them.
+    /// Dense index of each slot's declaring class.
+    class: Vec<u32>,
+    /// Number of distinct classes in `class`.
+    num_classes: usize,
+    /// All states' lists back to back.
     choices: Vec<Choice>,
-    /// `(start, end)` into `choices` per list id (see the `*_LIST` ids;
-    /// list `FIRST_METHOD_LIST + id` follows the entry symbol `id`).
+    /// `exp(prior)` of each entry of `choices`: the softmax weight of a
+    /// choice that was never reinforced.
+    prior_weights: Vec<f64>,
+    /// `(start, end)` into `choices` and `prior_weights`, per state.
     ranges: Vec<(u32, u32)>,
+    /// The left-to-right sum of each state's prior weights.
+    prior_totals: Vec<f64>,
     /// The length cap `2 · max_steps`.
     max_len: usize,
 }
 
 /// No admissible choice: the draw is abandoned.
-const EMPTY_LIST: usize = 0;
-/// Every slot, in interface order.
-const ALL_LIST: usize = 1;
-/// After a return below the cap: termination, then every input slot.
-const RETURN_LIST: usize = 2;
+const EMPTY_STATE: usize = 0;
+/// The empty word: every slot, with no previous call to favour.
+const ROOT_STATE: usize = 1;
 /// After a return at the cap: termination only.
-const STOP_LIST: usize = 3;
-/// After the entry symbol with id `i`: list `FIRST_METHOD_LIST + i`.
-const FIRST_METHOD_LIST: usize = 4;
+const STOP_STATE: usize = 2;
+/// The first of the per-class and per-slot states (see
+/// [`ChoiceTables::admissible`]).
+const FIRST_INDEXED_STATE: usize = 3;
 
 impl ChoiceTables {
     fn new(interface: &LibraryInterface, max_len: usize) -> ChoiceTables {
-        let mut ids: HashMap<ParamSlot, u32> = HashMap::new();
-        let mut slots = Vec::new();
-        let mut order = Vec::with_capacity(interface.slots().len());
-        for &slot in interface.slots() {
-            let id = *ids.entry(slot).or_insert_with(|| {
-                slots.push(slot);
-                (slots.len() - 1) as u32
-            });
-            order.push(id);
-        }
+        let slots = interface.slots().to_vec();
         let class_of: HashMap<MethodId, ClassId> = interface
             .methods()
             .iter()
             .map(|sig| (sig.method, sig.class))
             .collect();
-        let class = slots
+        let mut class_ids: HashMap<Option<ClassId>, u32> = HashMap::new();
+        let class: Vec<u32> = slots
             .iter()
-            .map(|s| class_of.get(&s.method).copied())
+            .map(|s| {
+                let next = class_ids.len() as u32;
+                *class_ids
+                    .entry(class_of.get(&s.method).copied())
+                    .or_insert(next)
+            })
             .collect();
         let mut by_method: HashMap<MethodId, Vec<u32>> = HashMap::new();
-        for &id in &order {
-            by_method
-                .entry(slots[id as usize].method)
-                .or_default()
-                .push(id);
+        for (id, slot) in slots.iter().enumerate() {
+            by_method.entry(slot.method).or_default().push(id as u32);
         }
 
         let mut tables = ChoiceTables {
             slots,
             class,
+            num_classes: class_ids.len(),
             choices: Vec::new(),
+            prior_weights: Vec::new(),
             ranges: Vec::new(),
+            prior_totals: Vec::new(),
             max_len,
         };
-        tables.push_list(std::iter::empty());
-        tables.push_list(order.iter().map(|&id| Choice::Symbol(id)));
-        let inputs: Vec<Choice> = order
-            .iter()
-            .filter(|&&id| tables.slots[id as usize].is_input())
-            .map(|&id| Choice::Symbol(id))
+        let ids = 0..tables.slots.len() as u32;
+        let all: Vec<Choice> = ids.clone().map(Choice::Symbol).collect();
+        let inputs: Vec<Choice> = std::iter::once(Choice::Stop)
+            .chain(
+                ids.filter(|&id| tables.slots[id as usize].is_input())
+                    .map(Choice::Symbol),
+            )
             .collect();
-        tables.push_list(std::iter::once(Choice::Stop).chain(inputs));
-        tables.push_list(std::iter::once(Choice::Stop));
+        tables.push_state(&[], None);
+        tables.push_state(&all, None);
+        tables.push_state(&[Choice::Stop], None);
+        // Below the cap, after an exit symbol of class `c` that is not a
+        // return: continuation with any symbol.
+        for c in 0..tables.num_classes as u32 {
+            tables.push_state(&all, Some(c));
+        }
+        // Below the cap, after a return of class `c`: the word is a valid
+        // specification, so termination is allowed, and continuation only
+        // with input symbols (no consecutive returns).
+        for c in 0..tables.num_classes as u32 {
+            tables.push_state(&inputs, Some(c));
+        }
+        // After the entry symbol `z`: the exit symbol belongs to the same
+        // method; the degenerate choice w_i = z_i carries no points-to
+        // information.
         for z in 0..tables.slots.len() as u32 {
-            // The exit symbol belongs to the entry symbol's method; the
-            // degenerate choice w_i = z_i carries no points-to information.
             let same_method = &by_method[&tables.slots[z as usize].method];
             let others: Vec<Choice> = same_method
                 .iter()
                 .filter(|&&id| id != z)
                 .map(|&id| Choice::Symbol(id))
                 .collect();
-            tables.push_list(others);
+            tables.push_state(&others, Some(tables.class[z as usize]));
         }
         tables
     }
 
-    fn push_list(&mut self, list: impl IntoIterator<Item = Choice>) {
+    /// Appends a state: its choices and their prior weights given the
+    /// class of the previous call.
+    fn push_state(&mut self, list: &[Choice], previous: Option<u32>) {
         let start = self.choices.len() as u32;
-        self.choices.extend(list);
-        self.ranges.push((start, self.choices.len() as u32));
-    }
-
-    fn list(&self, id: usize) -> &[Choice] {
-        let (start, end) = self.ranges[id];
-        &self.choices[start as usize..end as usize]
-    }
-
-    /// The id of the admissible list `T(s)` for a partial word of length
-    /// `len` whose last symbol is `last`.
-    fn admissible(&self, len: usize, last: Option<u32>) -> usize {
-        let below_cap = len < self.max_len;
-        match last {
-            // First entry symbol: any slot.
-            None if below_cap => ALL_LIST,
-            None => EMPTY_LIST,
-            // We just placed an entry symbol z_i: the exit symbol w_i must
-            // belong to the same method.
-            Some(z) if len % 2 == 1 => FIRST_METHOD_LIST + z as usize,
-            // We just placed a return: the word is currently a valid
-            // specification, so termination is allowed, and continuation
-            // only with input symbols (no consecutive returns).
-            Some(w) if self.slots[w as usize].is_return() => {
-                if below_cap {
-                    RETURN_LIST
-                } else {
-                    STOP_LIST
-                }
-            }
-            // Any other exit symbol: continuation with any symbol.
-            Some(_) if below_cap => ALL_LIST,
-            Some(_) => EMPTY_LIST,
+        for &choice in list {
+            let weight = self.prior(choice, previous).exp();
+            self.choices.push(choice);
+            self.prior_weights.push(weight);
         }
+        let end = self.choices.len() as u32;
+        self.ranges.push((start, end));
+        let total: f64 = self.prior_weights[start as usize..].iter().sum();
+        self.prior_totals.push(total);
     }
 
     /// The structural prior of an unvisited choice: continuations within
     /// the class of the previous call score higher, and termination gets a
     /// small positive score.
-    fn prior(&self, choice: Choice, last: Option<u32>) -> f64 {
-        match (choice, last) {
+    fn prior(&self, choice: Choice, previous: Option<u32>) -> f64 {
+        match (choice, previous) {
             (Choice::Stop, _) => 0.75,
-            (Choice::Symbol(s), Some(prev)) => {
-                if self.class[s as usize] == self.class[prev as usize] {
+            (Choice::Symbol(s), Some(c)) => {
+                if self.class[s as usize] == c {
                     1.5
                 } else {
                     0.0
@@ -290,53 +292,89 @@ impl ChoiceTables {
             (Choice::Symbol(_), None) => 0.0,
         }
     }
+
+    /// The state of a partial word of length `len` whose last symbol is
+    /// `last`.
+    fn admissible(&self, len: usize, last: Option<u32>) -> usize {
+        let below_cap = len < self.max_len;
+        let classes = self.num_classes;
+        match last {
+            None if below_cap => ROOT_STATE,
+            None => EMPTY_STATE,
+            Some(z) if len % 2 == 1 => FIRST_INDEXED_STATE + 2 * classes + z as usize,
+            Some(w) if self.slots[w as usize].is_return() => {
+                if below_cap {
+                    FIRST_INDEXED_STATE + classes + self.class[w as usize] as usize
+                } else {
+                    STOP_STATE
+                }
+            }
+            Some(w) if below_cap => FIRST_INDEXED_STATE + self.class[w as usize] as usize,
+            Some(_) => EMPTY_STATE,
+        }
+    }
+
+    /// The admissible choices of `state`.
+    fn choices(&self, state: usize) -> &[Choice] {
+        let (start, end) = self.ranges[state];
+        &self.choices[start as usize..end as usize]
+    }
+
+    /// The prior weights of `state`'s choices.
+    fn prior_weights(&self, state: usize) -> &[f64] {
+        let (start, end) = self.ranges[state];
+        &self.prior_weights[start as usize..end as usize]
+    }
 }
 
 /// Sentinel for "no node" in [`ScoreTrie`].
 const NO_NODE: u32 = u32::MAX;
 
 /// MCTS scores keyed by (prefix, choice), as a prefix trie.  Node `n`
-/// stands for one reinforced prefix `s` and owns the slots
-/// `start[n] .. start[n] + |T(s)|` of `scores` and `children`, one per
-/// admissible choice in list order.  A `NaN` score means "never
-/// reinforced" and falls back to the prior; `NO_NODE` means no word
-/// extending the prefix by that choice was reinforced yet.
+/// stands for one reinforced prefix `s` and owns the entries
+/// `span[n].0 .. span[n].1` of `scores`, `weights` and `children`, one per
+/// admissible choice of `s` in list order.  A `NaN` score means "never
+/// reinforced"; its weight is then the prior weight.  `NO_NODE` means no
+/// word extending the prefix by that choice was reinforced yet.
 #[derive(Default)]
 struct ScoreTrie {
-    start: Vec<u32>,
+    span: Vec<(u32, u32)>,
     scores: Vec<f64>,
+    /// `exp` of the score, or the prior weight while the score is `NaN`.
+    weights: Vec<f64>,
     children: Vec<u32>,
 }
 
 impl ScoreTrie {
     fn num_nodes(&self) -> usize {
-        self.start.len()
+        self.span.len()
     }
 
     /// The root (empty prefix), or `NO_NODE` before the first reinforcement.
     fn root(&self) -> u32 {
-        if self.start.is_empty() {
+        if self.span.is_empty() {
             NO_NODE
         } else {
             0
         }
     }
 
-    fn add_node(&mut self, width: usize) -> u32 {
-        let id = self.start.len() as u32;
-        self.start.push(self.scores.len() as u32);
-        self.scores.resize(self.scores.len() + width, f64::NAN);
-        self.children.resize(self.children.len() + width, NO_NODE);
+    fn add_node(&mut self, tables: &ChoiceTables, state: usize) -> u32 {
+        let id = self.span.len() as u32;
+        let priors = tables.prior_weights(state);
+        let start = self.scores.len();
+        self.span
+            .push((start as u32, (start + priors.len()) as u32));
+        self.scores.resize(start + priors.len(), f64::NAN);
+        self.weights.extend_from_slice(priors);
+        self.children.resize(start + priors.len(), NO_NODE);
         id
     }
 
-    /// The learned score of choice `k` at `node`, if it was ever reinforced.
-    fn score(&self, node: u32, k: usize) -> Option<f64> {
-        if node == NO_NODE {
-            return None;
-        }
-        let score = self.scores[self.start[node as usize] as usize + k];
-        (!score.is_nan()).then_some(score)
+    /// The softmax weights of `node`'s choices.
+    fn weights(&self, node: u32) -> &[f64] {
+        let (start, end) = self.span[node as usize];
+        &self.weights[start as usize..end as usize]
     }
 
     /// The child of `node` along choice `k`.
@@ -344,7 +382,7 @@ impl ScoreTrie {
         if node == NO_NODE {
             NO_NODE
         } else {
-            self.children[self.start[node as usize] as usize + k]
+            self.children[self.span[node as usize].0 as usize + k]
         }
     }
 
@@ -352,23 +390,25 @@ impl ScoreTrie {
     /// with the oracle outcome, creating the nodes of new prefixes.
     fn reinforce(&mut self, tables: &ChoiceTables, draw: &Draw, accepted: bool, alpha: f64) {
         let outcome = if accepted { 1.0 } else { 0.0 };
-        let mut node = self.root();
-        if node == NO_NODE {
-            node = self.add_node(tables.list(tables.admissible(0, None)).len());
-        }
+        let mut node = match self.root() {
+            NO_NODE => self.add_node(tables, tables.admissible(0, None)),
+            root => root,
+        };
         for (depth, &k) in draw.path.iter().enumerate() {
-            let at = self.start[node as usize] as usize + k as usize;
+            let at = self.span[node as usize].0 as usize + k as usize;
             let old = self.scores[at];
             let old = if old.is_nan() { 0.0 } else { old };
-            self.scores[at] = (1.0 - alpha) * old + alpha * outcome;
+            let score = (1.0 - alpha) * old + alpha * outcome;
+            self.scores[at] = score;
+            self.weights[at] = score.exp();
             if depth + 1 == draw.path.len() {
                 // The last choice is the termination.
                 break;
             }
             node = match self.children[at] {
                 NO_NODE => {
-                    let list = tables.admissible(depth + 1, Some(draw.word[depth]));
-                    let child = self.add_node(tables.list(list).len());
+                    let state = tables.admissible(depth + 1, Some(draw.word[depth]));
+                    let child = self.add_node(tables, state);
                     self.children[at] = child;
                     child
                 }
@@ -381,14 +421,12 @@ impl ScoreTrie {
 /// One draw's buffers, reused across draws.
 #[derive(Default)]
 struct Draw {
-    /// The word as interned slot ids.
+    /// The word as slot ids.
     word: Vec<u32>,
     /// The word as slots (what the verdict sees).
     symbols: Vec<ParamSlot>,
     /// The index of each choice within its admissible list.
     path: Vec<u32>,
-    /// Softmax weights of the current step.
-    weights: Vec<f64>,
 }
 
 impl Draw {
@@ -406,18 +444,22 @@ impl Draw {
         self.path.clear();
         let mut node = trie.root();
         loop {
-            let last = self.word.last().copied();
-            let choices = tables.list(tables.admissible(self.word.len(), last));
+            let state = tables.admissible(self.word.len(), self.word.last().copied());
+            let choices = tables.choices(state);
             if choices.is_empty() {
                 return false;
             }
             let k = match strategy {
                 SamplingStrategy::Random => rng.gen_range(0..choices.len()),
-                SamplingStrategy::Mcts => self.softmax_choice(
-                    choices,
-                    |i, c| trie.score(node, i).unwrap_or_else(|| tables.prior(c, last)),
-                    rng,
-                ),
+                // Inside the trie the node's weights mix learned scores and
+                // priors; past its frontier every choice is unvisited.
+                SamplingStrategy::Mcts if node == NO_NODE => {
+                    softmax_choice(tables.prior_weights(state), tables.prior_totals[state], rng)
+                }
+                SamplingStrategy::Mcts => {
+                    let weights = trie.weights(node);
+                    softmax_choice(weights, weights.iter().sum(), rng)
+                }
             };
             self.path.push(k as u32);
             match choices[k] {
@@ -433,28 +475,19 @@ impl Draw {
             node = trie.child(node, k);
         }
     }
+}
 
-    /// Softmax selection over `score(i, choice)`; returns the index of the
-    /// chosen entry of `choices`.
-    fn softmax_choice(
-        &mut self,
-        choices: &[Choice],
-        score: impl Fn(usize, Choice) -> f64,
-        rng: &mut StdRng,
-    ) -> usize {
-        self.weights.clear();
-        self.weights
-            .extend(choices.iter().enumerate().map(|(i, &c)| score(i, c).exp()));
-        let total: f64 = self.weights.iter().sum();
-        let mut pick = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-        for (i, w) in self.weights.iter().enumerate() {
-            if pick < *w {
-                return i;
-            }
-            pick -= w;
+/// Softmax selection: the index picked by one uniform draw over `total`,
+/// the left-to-right sum of `weights` (each `exp` of a score or prior).
+fn softmax_choice(weights: &[f64], total: f64, rng: &mut StdRng) -> usize {
+    let mut pick = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+    for (i, w) in weights.iter().enumerate() {
+        if pick < *w {
+            return i;
         }
-        choices.len() - 1
+        pick -= w;
     }
+    weights.len() - 1
 }
 
 #[cfg(test)]
